@@ -4,8 +4,8 @@
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sbgp_core::{Policy, SecurityModel};
-use sbgp_sim::{runner, sample, scenario, Internet, Parallelism};
+use sbgp_core::{AttackStrategy, CellSet, Policy, SecurityModel};
+use sbgp_sim::{runner, sample, scenario, sweep, Internet, Parallelism};
 
 fn harness_benches(c: &mut Criterion) {
     let net = Internet::synthetic(4_000, 11);
@@ -16,14 +16,16 @@ fn harness_benches(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("metric-96-pairs");
     group.sample_size(10);
+    let deployment = std::slice::from_ref(&step.deployment);
     for model in SecurityModel::ALL {
+        let cells = CellSet::per_policy(&[Policy::new(model)], AttackStrategy::FakeLink);
         group.bench_function(model.label(), |b| {
             b.iter(|| {
-                black_box(runner::metric(
+                black_box(sweep::metric(
                     &net,
                     &pairs,
-                    &step.deployment,
-                    Policy::new(model),
+                    deployment,
+                    &cells,
                     Parallelism(1),
                 ))
             });

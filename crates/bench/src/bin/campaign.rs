@@ -10,7 +10,7 @@
 //!
 //! The model axis is **fused**: all models of one `(figure, asns, seed)`
 //! group run through a single multi-cell estimator pass
-//! (`estimate_metric_cells` & friends), so one snapshot traversal serves
+//! (`estimate_metric_sweep_cells` & friends), so one snapshot traversal serves
 //! every model's lane — and at zero validators the models collapse onto
 //! one computation outright. Fused ≡ per-model bit for bit (pinned in
 //! `sbgp_sim::stats`), and a cell's estimates are independent of which
@@ -662,11 +662,11 @@ fn run_figure_group(
         supervise::estimate_adaptive_supervised(&universe, &est, &cell_stats, &spec, sup)
     } else {
         match figure {
-            Figure::Baseline => stats::estimate_metric_cells(
+            Figure::Baseline => stats::estimate_metric_sweep_cells(
                 net,
                 &all,
                 &all,
-                &Deployment::empty(net.len()),
+                &[Deployment::empty(net.len())],
                 &policies,
                 AttackStrategy::FakeLink,
                 &est,

@@ -238,7 +238,7 @@ impl<'g> Engine<'g> {
 
     /// Compute the stable outcomes of a whole *set* of policy cells over
     /// one `(destination, announcers, deployment)` scenario in a single
-    /// fused pass, filling one [`MultiOutcome`] lane per unique cell of
+    /// fused pass, filling one [`crate::MultiOutcome`] lane per unique cell of
     /// `cells` (see [`crate::CellSet`] for the input→lane mapping).
     ///
     /// Lanes that are behaviorally identical under this deployment share

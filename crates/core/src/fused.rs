@@ -25,7 +25,7 @@
 //!    pins this equivalence against per-cell engines.
 //! 3. **Shared contested-region discovery.** For the computations that do
 //!    remain distinct, one multi-lane forward scan
-//!    ([`crate::region::MultiScan`]) walks the snapshot neighborhood once
+//!    (`region::MultiScan`) walks the snapshot neighborhood once
 //!    with a per-frontier-entry lane bitmask and discovers every lane's
 //!    seed ball simultaneously — the **shared-region invariant**: the scan
 //!    is a per-lane *superset/subset-tolerant seeding*, never an exactness
@@ -37,7 +37,7 @@
 //! **Per-lane fallback exactness.** When the shared scan proves a lane's
 //! ball exceeds its adjacency-mass budget, that lane alone is served by a
 //! full single-cell [`Engine::compute`]
-//! ([`AttackDeltaEngine::attack_set_full`]); the other lanes keep their
+//! (`AttackDeltaEngine::attack_set_full`); the other lanes keep their
 //! patches. Fused results are therefore `≡` per-cell results bit for bit
 //! in every case — the fused pass only ever changes *how* an outcome is
 //! reached, never *which* outcome.

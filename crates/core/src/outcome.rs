@@ -10,8 +10,8 @@
 //! (Appendix C).
 //!
 //! Storage layout: the per-AS root flags, the security bit and the
-//! mark-traversal bit all live in one `flags` byte (see [`FLAG_ROOTS`],
-//! [`FLAG_SECURE`], [`FLAG_VIA_MARK`]), so the engine's inner rescan loop
+//! mark-traversal bit all live in one `flags` byte (see `FLAG_ROOTS`,
+//! `FLAG_SECURE`, `FLAG_VIA_MARK`), so the engine's inner rescan loop
 //! reads a single byte stream instead of three parallel arrays.
 //!
 //! For fused multi-cell passes, [`MultiOutcome`] stacks one such outcome

@@ -31,7 +31,7 @@
 //!    tied or beat the neighbor's current route) can strictly worsen that
 //!    neighbor's best route just as an improved offer can better it, which
 //!    is exactly what makes retraction steps sound (see
-//!    [`crate::region::grow_affected`]);
+//!    `region::grow_affected`);
 //! 4. when no change escapes the region, the patched state is locally
 //!    consistent at every AS — inside the region by construction, outside
 //!    it because no input changed — and uniqueness makes it exact.

@@ -6,10 +6,10 @@
 //! authentication already blunts the attack for most sources because the
 //! bogus path is one hop longer than the truth.
 
-use sbgp_core::{Bounds, Deployment, Policy, SecurityModel};
+use sbgp_core::{Bounds, CellSet, Deployment, Policy, SecurityModel};
 
 use crate::experiments::ExperimentConfig;
-use crate::{runner, sample, Internet};
+use crate::{sample, sweep, Internet};
 
 /// The baseline metric and the sample sizes it was estimated from.
 #[derive(Clone, Copy, Debug)]
@@ -24,25 +24,25 @@ pub struct BaselineResult {
 
 /// Estimate `H_{V,V}(∅)`.
 ///
-/// Rides the destination-major [`runner::metric_with_stderr`] driver: each
-/// sampled destination's no-attacker outcome is computed once and every
-/// attacker against it is a contested-region patch.
+/// Rides the destination-major [`sweep::metric`] driver: each sampled
+/// destination's no-attacker outcome is computed once and every attacker
+/// against it is a contested-region patch.
 pub fn baseline_metric(net: &Internet, cfg: &ExperimentConfig) -> BaselineResult {
     let attackers = sample::sample_all(net, cfg.attackers, cfg.seed);
     let destinations = sample::sample_all(net, cfg.destinations, cfg.seed ^ 0xD);
     let pairs = sample::pairs(&attackers, &destinations);
     // With S = ∅ all three models coincide (no route is secure).
-    let (metric, stderr) = runner::metric_with_stderr(
+    let cells = CellSet::per_policy(&[Policy::new(SecurityModel::Security3rd)], cfg.strategy);
+    let (accs, _) = sweep::metric(
         net,
         &pairs,
-        &Deployment::empty(net.len()),
-        Policy::new(SecurityModel::Security3rd),
-        cfg.strategy,
+        &[Deployment::empty(net.len())],
+        &cells,
         cfg.parallelism,
     );
     BaselineResult {
-        metric,
-        stderr,
+        metric: accs[0][0].value(),
+        stderr: accs[0][0].stderr(),
         pairs: pairs.len(),
     }
 }
@@ -73,11 +73,10 @@ mod tests {
         let attackers = sample::sample_all(&net, cfg.attackers, cfg.seed);
         let destinations = sample::sample_all(&net, cfg.destinations, cfg.seed ^ 0xD);
         let pairs = sample::pairs(&attackers, &destinations);
-        let dep = Deployment::empty(net.len());
-        let vals: Vec<Bounds> = SecurityModel::ALL
-            .iter()
-            .map(|&m| runner::metric(&net, &pairs, &dep, Policy::new(m), cfg.parallelism))
-            .collect();
+        let cells = CellSet::per_policy(&SecurityModel::ALL.map(Policy::new), cfg.strategy);
+        let dep = [Deployment::empty(net.len())];
+        let (accs, _) = sweep::metric(&net, &pairs, &dep, &cells, cfg.parallelism);
+        let vals: Vec<Bounds> = accs.iter().map(|a| a[0].value()).collect();
         for w in vals.windows(2) {
             assert!((w[0].lower - w[1].lower).abs() < 1e-12);
             assert!((w[0].upper - w[1].upper).abs() < 1e-12);

@@ -8,7 +8,7 @@
 //! * [`rpki_churn`] — the metric along a **wax-and-wane trajectory**
 //!   ([`scenario::churn_trajectory`]): coverage climbs the Tier-2 rollout
 //!   ladder to its peak and erodes back down. Each `(m, d, model)` triple
-//!   is one [`sweep::metric_churn`] pass, so the wane half rides the
+//!   is one [`sweep::metric`] pass, so the wane half rides the
 //!   engine's *retraction* path incrementally, and the merged
 //!   [`SweepStats`] make the incremental/fallback split observable.
 //! * [`wedgie_churn`] — the §2.3 wedgie driven by **adoption churn**
@@ -22,8 +22,8 @@
 //!   no-downgrade guarantee checked for security-1st.
 
 use sbgp_core::{
-    AttackScenario, AttackStrategy, Bounds, Deployment, Engine, Policy, SecurityModel, SweepEngine,
-    SweepStats,
+    AttackScenario, AttackStrategy, Bounds, CellSet, Deployment, Engine, Policy, SecurityModel,
+    SweepEngine, SweepStats,
 };
 use sbgp_proto::wedgie::{
     wedgie_deployment, wedgie_graph, wedgie_simulator, wedgie_wane_deployment,
@@ -85,16 +85,11 @@ pub fn rpki_churn(net: &Internet, cfg: &ExperimentConfig) -> ChurnResult {
     let mut metric = vec![[Bounds::default(); 3]; traj.len()];
     let mut stats = [SweepStats::default(); 3];
     for (i, model) in SecurityModel::ALL.into_iter().enumerate() {
-        let (bounds, s) = sweep::metric_churn(
-            net,
-            &pairs,
-            &traj,
-            Policy::new(model),
-            cfg.strategy,
-            cfg.parallelism,
-        );
-        for (k, b) in bounds.into_iter().enumerate() {
-            metric[k][i] = b;
+        // One model per call, so each model's sweep stats stay apart.
+        let cells = CellSet::per_policy(&[Policy::new(model)], cfg.strategy);
+        let (accs, s) = sweep::metric(net, &pairs, &traj, &cells, cfg.parallelism);
+        for (k, acc) in accs[0].iter().enumerate() {
+            metric[k][i] = acc.value();
         }
         stats[i] = s;
     }
@@ -290,7 +285,6 @@ pub fn downgrade_attack() -> Vec<DowngradeRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner;
     use crate::Parallelism;
 
     fn net() -> Internet {
@@ -320,19 +314,19 @@ mod tests {
                 "model {i}: {s:?}"
             );
         }
-        // Spot-check one wane step against a fresh computation.
+        // Spot-check one wane step against a fresh one-step evaluation
+        // (no retraction path involved).
         let attackers = sample::sample_non_stubs(&net, cfg.attackers, cfg.seed);
         let dests = sample::sample_all(&net, cfg.destinations, cfg.seed ^ 0xD);
         let pairs = sample::pairs(&attackers, &dests);
         let traj = scenario::churn_trajectory(&net, CHURN_PEAK);
-        let fresh = runner::metric(
-            &net,
-            &pairs,
-            &traj[CHURN_PEAK],
-            Policy::new(SecurityModel::Security1st),
-            Parallelism(2),
+        let cells = CellSet::per_policy(
+            &[Policy::new(SecurityModel::Security1st)],
+            AttackStrategy::FakeLink,
         );
-        assert_eq!(r.points[CHURN_PEAK].metric[0], fresh);
+        let step = std::slice::from_ref(&traj[CHURN_PEAK]);
+        let (fresh, _) = sweep::metric(&net, &pairs, step, &cells, Parallelism(2));
+        assert_eq!(r.points[CHURN_PEAK].metric[0], fresh[0][0].value());
     }
 
     #[test]

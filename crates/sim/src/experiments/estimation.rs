@@ -31,9 +31,10 @@ pub struct EstimatedSweep {
 }
 
 /// Estimate `H_{M',V}(S_k)` with confidence intervals along a rollout, for
-/// every security model. Attackers are the paper's non-stub set `M'`,
-/// destinations the whole population; each model's sweep stops when every
-/// step's half-width meets the target (or the budget runs out).
+/// every security model in one fused pass. Attackers are the paper's
+/// non-stub set `M'`, destinations the whole population; each model's
+/// sweep stops when every step's half-width meets the target (or the
+/// budget runs out).
 pub fn estimated_rollout(
     net: &Internet,
     cfg: &ExperimentConfig,
@@ -47,22 +48,17 @@ pub fn estimated_rollout(
     deployments.extend(steps.iter().map(|s| s.deployment.clone()));
     let mut step_labels = vec!["∅".to_string()];
     step_labels.extend(steps.iter().map(|s| s.label.clone()));
-    let models = SecurityModel::ALL
-        .into_iter()
-        .map(|model| {
-            let run = stats::estimate_metric_sweep(
-                net,
-                &attackers,
-                &dests,
-                &deployments,
-                Policy::new(model),
-                cfg.strategy,
-                est,
-                cfg.parallelism,
-            );
-            (model, run)
-        })
-        .collect();
+    let runs = stats::estimate_metric_sweep_cells(
+        net,
+        &attackers,
+        &dests,
+        &deployments,
+        &SecurityModel::ALL.map(Policy::new),
+        cfg.strategy,
+        est,
+        cfg.parallelism,
+    );
+    let models = SecurityModel::ALL.into_iter().zip(runs).collect();
     EstimatedSweep {
         name: name.to_string(),
         step_labels,
@@ -78,16 +74,17 @@ pub fn estimated_baseline(
     est: &EstimatorConfig,
 ) -> AdaptiveRun {
     let pool: Vec<AsId> = net.graph.ases().collect();
-    stats::estimate_metric(
+    stats::estimate_metric_sweep_cells(
         net,
         &pool,
         &pool,
-        &Deployment::empty(net.len()),
-        Policy::new(SecurityModel::Security3rd),
+        &[Deployment::empty(net.len())],
+        &[Policy::new(SecurityModel::Security3rd)],
         cfg.strategy,
         est,
         cfg.parallelism,
     )
+    .swap_remove(0)
 }
 
 /// Estimate the strategy ladder (per-rung and per-pair-optimal metrics)
@@ -100,16 +97,17 @@ pub fn estimated_ladder(
 ) -> LadderEstimate {
     let attackers = net.tiers.non_stubs();
     let dests: Vec<AsId> = net.graph.ases().collect();
-    stats::estimate_strategy_ladder(
+    stats::estimate_strategy_ladder_cells(
         net,
         &attackers,
         &dests,
         &Deployment::empty(net.len()),
-        Policy::new(SecurityModel::Security2nd),
+        &[Policy::new(SecurityModel::Security2nd)],
         &AttackStrategy::LADDER,
         est,
         cfg.parallelism,
     )
+    .swap_remove(0)
 }
 
 #[cfg(test)]

@@ -17,7 +17,10 @@
 //! * [`weighted_baseline`] — the §4.5 caveat: the metric reweighted by a
 //!   hypergiant-skewed traffic model.
 
-use sbgp_core::{AttackScenario, AttackStrategy, Bounds, Deployment, Policy, SecurityModel};
+use sbgp_core::{
+    AttackDeltaEngine, AttackScenario, AttackStrategy, Bounds, CellSet, Deployment, Policy,
+    SecurityModel,
+};
 use sbgp_proto::{Schedule, Simulator, SourceCensus};
 use sbgp_topology::AsId;
 
@@ -39,9 +42,9 @@ pub struct SecurityLadderRow {
 /// The two fake-link security-3rd rows share their `(policy, strategy)` and
 /// differ only in the growing deployment, so they are served by a single
 /// `[∅, S]` sweep (both amortization axes composed); the remaining rows
-/// change the attack strategy or the model and ride the destination-major
-/// [`runner::metric_with_strategy`] driver, which still shares each
-/// destination's base computation across its attackers.
+/// change the attack strategy or the model and are one-step calls of the
+/// same destination-major [`sweep::metric`] driver, which still shares
+/// each destination's base computation across its attackers.
 pub fn rpki_value(net: &Internet, cfg: &ExperimentConfig) -> Vec<SecurityLadderRow> {
     let attackers = sample::sample_non_stubs(net, cfg.attackers, cfg.seed);
     let dests = sample::sample_all(net, cfg.destinations, cfg.seed ^ 0xD);
@@ -51,23 +54,22 @@ pub fn rpki_value(net: &Internet, cfg: &ExperimentConfig) -> Vec<SecurityLadderR
     let sec3 = Policy::new(SecurityModel::Security3rd);
     let sec1 = Policy::new(SecurityModel::Security1st);
 
-    let metric_with = |deployment: &Deployment, policy: Policy, strategy: AttackStrategy| {
-        runner::metric_with_strategy(net, &pairs, deployment, policy, strategy, cfg.parallelism)
+    let metric_with = |deployments: &[Deployment], policy: Policy, strategy: AttackStrategy| {
+        let cells = CellSet::per_policy(&[policy], strategy);
+        let (accs, _) = sweep::metric(net, &pairs, deployments, &cells, cfg.parallelism);
+        accs[0].iter().map(|a| a.value()).collect::<Vec<Bounds>>()
     };
 
-    let fake_link_sec3 = sweep::metric_sweep(
-        net,
-        &pairs,
+    let fake_link_sec3 = metric_with(
         &[empty.clone(), step.deployment.clone()],
         sec3,
         AttackStrategy::FakeLink,
-        cfg.parallelism,
     );
 
     vec![
         SecurityLadderRow {
             label: "no RPKI (prefix hijack possible)".into(),
-            metric: metric_with(&empty, sec3, AttackStrategy::OriginHijack),
+            metric: metric_with(&[empty], sec3, AttackStrategy::OriginHijack)[0],
         },
         SecurityLadderRow {
             label: "RPKI only (attacker must fake a link)".into(),
@@ -79,7 +81,7 @@ pub fn rpki_value(net: &Internet, cfg: &ExperimentConfig) -> Vec<SecurityLadderR
         },
         SecurityLadderRow {
             label: "RPKI + S*BGP at T1+T2+stubs, security 1st".into(),
-            metric: metric_with(&step.deployment, sec1, AttackStrategy::FakeLink),
+            metric: metric_with(&[step.deployment], sec1, AttackStrategy::FakeLink)[0],
         },
     ]
 }
@@ -241,10 +243,10 @@ pub fn weighted_baseline(net: &Internet, cfg: &ExperimentConfig) -> Vec<(String,
     let policy = Policy::new(SecurityModel::Security3rd);
 
     let run = |weights: &TrafficWeights| -> Bounds {
-        let (sum, count) = runner::map_reduce_grouped(
+        let (sum, count) = runner::map_reduce(
             cfg.parallelism,
             &groups,
-            || sbgp_core::AttackDeltaEngine::new(&net.graph),
+            || AttackDeltaEngine::new(&net.graph),
             || (Bounds::default(), 0usize),
             |delta, acc, (d, ms)| {
                 delta.begin(*d, &empty, policy);
@@ -261,7 +263,8 @@ pub fn weighted_baseline(net: &Internet, cfg: &ExperimentConfig) -> Vec<(String,
                 a.0.upper += b.0.upper;
                 a.1 += b.1;
             },
-        );
+        )
+        .unwrap();
         Bounds {
             lower: sum.lower / count.max(1) as f64,
             upper: sum.upper / count.max(1) as f64,

@@ -1,12 +1,15 @@
 //! Figures 3–6 (and Appendix K's Figures 24–25): the doomed / protectable
 //! / immune decomposition.
 
-use sbgp_core::{Bounds, Deployment, PartitionComputer, Policy, SecurityModel};
+use sbgp_core::{
+    AttackStrategy, Bounds, CellSet, Deployment, PartitionComputer, Policy, SecurityModel,
+};
 use sbgp_topology::tier::{Tier, FIGURE_TIER_ORDER};
 use sbgp_topology::AsId;
 
 use crate::experiments::ExperimentConfig;
-use crate::{runner, sample, Internet};
+use crate::runner::{self, Parallelism};
+use crate::{sample, sweep, Internet};
 
 /// Average immune/protectable/doomed fractions over a pair set.
 #[derive(Clone, Copy, Debug, Default)]
@@ -36,6 +39,18 @@ impl PartitionShare {
     pub fn upper_bound(&self) -> f64 {
         1.0 - self.doomed
     }
+}
+
+/// The fake-link baseline `H(∅)` over `pairs` (the figures' heavy lines).
+fn baseline_metric(
+    net: &Internet,
+    pairs: &[(AsId, AsId)],
+    policy: Policy,
+    par: Parallelism,
+) -> Bounds {
+    let cells = CellSet::per_policy(&[policy], AttackStrategy::FakeLink);
+    let (accs, _) = sweep::metric(net, pairs, &[Deployment::empty(net.len())], &cells, par);
+    accs[0][0].value()
 }
 
 /// Figure 3: shares per security model, over an all-AS pair sample, plus
@@ -70,10 +85,9 @@ pub fn figure3(net: &Internet, cfg: &ExperimentConfig, variant: sbgp_core::LpVar
         })
         .collect();
 
-    let baseline = runner::metric(
+    let baseline = baseline_metric(
         net,
         &pairs,
-        &Deployment::empty(net.len()),
         Policy::with_variant(SecurityModel::Security3rd, variant),
         cfg.parallelism,
     );
@@ -102,7 +116,6 @@ pub struct TierRow {
 /// `LpVariant::LpK(2)` these are Appendix K's Figure 25 panels).
 pub fn by_destination_tier(net: &Internet, cfg: &ExperimentConfig, policy: Policy) -> Vec<TierRow> {
     let attackers = sample::sample_all(net, cfg.attackers, cfg.seed);
-    let empty = Deployment::empty(net.len());
     FIGURE_TIER_ORDER
         .iter()
         .filter_map(|&tier| {
@@ -112,7 +125,7 @@ pub fn by_destination_tier(net: &Internet, cfg: &ExperimentConfig, policy: Polic
             }
             let pairs = sample::pairs(&attackers, &dests);
             let counts = runner::partitions(net, &pairs, policy, cfg.parallelism);
-            let baseline = runner::metric(net, &pairs, &empty, policy, cfg.parallelism);
+            let baseline = baseline_metric(net, &pairs, policy, cfg.parallelism);
             Some(TierRow {
                 tier,
                 share: PartitionShare::from_counts(&counts),
@@ -127,7 +140,6 @@ pub fn by_destination_tier(net: &Internet, cfg: &ExperimentConfig, policy: Polic
 /// paper).
 pub fn by_attacker_tier(net: &Internet, cfg: &ExperimentConfig, policy: Policy) -> Vec<TierRow> {
     let destinations = sample::sample_all(net, cfg.destinations, cfg.seed ^ 0xD);
-    let empty = Deployment::empty(net.len());
     FIGURE_TIER_ORDER
         .iter()
         .filter_map(|&tier| {
@@ -138,7 +150,7 @@ pub fn by_attacker_tier(net: &Internet, cfg: &ExperimentConfig, policy: Policy) 
             }
             let pairs = sample::pairs(&attackers, &destinations);
             let counts = runner::partitions(net, &pairs, policy, cfg.parallelism);
-            let baseline = runner::metric(net, &pairs, &empty, policy, cfg.parallelism);
+            let baseline = baseline_metric(net, &pairs, policy, cfg.parallelism);
             Some(TierRow {
                 tier,
                 share: PartitionShare::from_counts(&counts),
@@ -188,7 +200,8 @@ pub fn by_source_tier(net: &Internet, cfg: &ExperimentConfig, policy: Policy) ->
                 x.add(&y);
             }
         },
-    );
+    )
+    .unwrap();
 
     FIGURE_TIER_ORDER
         .iter()

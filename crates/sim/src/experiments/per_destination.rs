@@ -7,7 +7,7 @@
 //! every secure destination outright, while under security 2nd/3rd a large
 //! mass of destinations (Tier 1s in particular) sees almost nothing.
 
-use sbgp_core::{Bounds, Deployment, Policy, SecurityModel};
+use sbgp_core::{Bounds, CellSet, Deployment, Policy, SecurityModel};
 use sbgp_topology::AsId;
 
 use crate::experiments::ExperimentConfig;
@@ -55,11 +55,11 @@ pub struct PerDestinationResult {
 }
 
 /// Evaluate the sorted per-destination series for `step`. Each
-/// `(d, model)` pair is one incremental `[∅, S]` sweep of the
-/// normal-conditions outcome — the `∅` entry is the baseline (identical
-/// for every model: no secure routes exist) — and every attacker is a
-/// contested-region patch of whichever entry is current, so the whole
-/// series costs one base fix plus `2|M'| + 1` patches per destination.
+/// destination is one fused `[∅, S]` pass serving all three models: the
+/// `∅` entry is the baseline (identical for every model, since no secure
+/// routes exist, so the models share one computation there), every
+/// attacker is one contested-region patch of it, and each model's sweep
+/// engine carries the attack on to `S`.
 pub fn per_destination(
     net: &Internet,
     cfg: &ExperimentConfig,
@@ -71,42 +71,39 @@ pub fn per_destination(
         cfg.destinations,
         cfg.seed ^ 0x9e5,
     );
-    let deps = vec![Deployment::empty(net.len()), step.deployment.clone()];
+    let deps = [Deployment::empty(net.len()), step.deployment.clone()];
+    let cells = CellSet::per_policy(&SecurityModel::ALL.map(Policy::new), cfg.strategy);
+    let (counts, _) =
+        sweep::metric_by_destination(net, &attackers, &dests, &deps, &cells, cfg.parallelism);
 
-    let mut series = Vec::with_capacity(3);
-    for model in SecurityModel::ALL {
-        let counts = sweep::metric_sweep_by_destination(
-            net,
-            &attackers,
-            &dests,
-            &deps,
-            Policy::new(model),
-            cfg.strategy,
-            cfg.parallelism,
-        );
-        let (baseline, with) = (&counts[0], &counts[1]);
-        let mut deltas: Vec<(AsId, Bounds)> = Vec::with_capacity(dests.len());
-        let mut avg = Bounds::default();
-        let mut n = 0usize;
-        for ((&d, w), b) in dests.iter().zip(with).zip(baseline) {
-            if w.sources == 0 {
-                continue;
+    let series = SecurityModel::ALL
+        .into_iter()
+        .zip(counts)
+        .map(|(model, counts)| {
+            let (baseline, with) = (&counts[0], &counts[1]);
+            let mut deltas: Vec<(AsId, Bounds)> = Vec::with_capacity(dests.len());
+            let mut avg = Bounds::default();
+            let mut n = 0usize;
+            for ((&d, w), b) in dests.iter().zip(with).zip(baseline) {
+                if w.sources == 0 {
+                    continue;
+                }
+                let wf = w.fraction();
+                deltas.push((d, wf.minus(b.fraction())));
+                avg.lower += wf.lower;
+                avg.upper += wf.upper;
+                n += 1;
             }
-            let wf = w.fraction();
-            deltas.push((d, wf.minus(b.fraction())));
-            avg.lower += wf.lower;
-            avg.upper += wf.upper;
-            n += 1;
-        }
-        avg.lower /= n.max(1) as f64;
-        avg.upper /= n.max(1) as f64;
-        deltas.sort_by(|a, b| a.1.lower.total_cmp(&b.1.lower));
-        series.push(DestinationSeries {
-            model,
-            deltas,
-            average_metric: avg,
-        });
-    }
+            avg.lower /= n.max(1) as f64;
+            avg.upper /= n.max(1) as f64;
+            deltas.sort_by(|a, b| a.1.lower.total_cmp(&b.1.lower));
+            DestinationSeries {
+                model,
+                deltas,
+                average_metric: avg,
+            }
+        })
+        .collect();
     PerDestinationResult {
         label: step.label.clone(),
         destinations: dests.len(),

@@ -13,7 +13,7 @@
 //! dirty-region blow-up. Per-run [`SweepStats`] record that split and are
 //! surfaced in reports when [`ExperimentConfig::sweep_stats`] is set.
 
-use sbgp_core::{Bounds, Deployment, HappyCount, Policy, SecurityModel, SweepStats};
+use sbgp_core::{Bounds, CellSet, Deployment, HappyCount, Policy, SecurityModel, SweepStats};
 use sbgp_topology::AsId;
 
 use crate::experiments::ExperimentConfig;
@@ -121,42 +121,22 @@ pub fn evaluate_rollout(
     let mut delta_secure = vec![[Bounds::default(); 3]; steps.len()];
     let mut stats = [SweepStats::default(); 3];
     for (i, model) in SecurityModel::ALL.into_iter().enumerate() {
-        let policy = Policy::new(model);
-        let (counts, s) = sweep::metric_churn_by_destination(
-            net,
-            &attackers,
-            destinations,
-            &plain,
-            policy,
-            cfg.strategy,
-            cfg.parallelism,
-        );
-        stats[i].merge(&s);
-        let (simplex_counts, s) = sweep::metric_churn_by_destination(
-            net,
-            &attackers,
-            destinations,
-            &simplex,
-            policy,
-            cfg.strategy,
-            cfg.parallelism,
-        );
-        stats[i].merge(&s);
+        // One model per call, so each model's sweep stats stay apart.
+        let cells = CellSet::per_policy(&[Policy::new(model)], cfg.strategy);
+        let mut by_destination = |dests: &[AsId], deps: &[Deployment]| {
+            let (mut counts, s) =
+                sweep::metric_by_destination(net, &attackers, dests, deps, &cells, cfg.parallelism);
+            stats[i].merge(&s);
+            counts.swap_remove(0)
+        };
+        let counts = by_destination(destinations, &plain);
+        let simplex_counts = by_destination(destinations, &simplex);
         for (k, step) in steps.iter().enumerate() {
             delta[k][i] = delta_over_destinations(&counts[k + 1], &counts[0]);
             delta_simplex[k][i] =
                 delta_over_destinations(&simplex_counts[k + 1], &simplex_counts[0]);
             let pair = with_baseline(net.len(), [step.deployment.clone()]);
-            let (secure_counts, s) = sweep::metric_churn_by_destination(
-                net,
-                &attackers,
-                &secure_dests[k],
-                &pair,
-                policy,
-                cfg.strategy,
-                cfg.parallelism,
-            );
-            stats[i].merge(&s);
+            let secure_counts = by_destination(&secure_dests[k], &pair);
             delta_secure[k][i] = delta_over_destinations(&secure_counts[1], &secure_counts[0]);
         }
     }

@@ -40,19 +40,14 @@ pub fn ladder(net: &Internet, cfg: &ExperimentConfig) -> Vec<LadderExperiment> {
             deployment_label,
             rows: SecurityModel::ALL
                 .into_iter()
-                .map(|model| {
-                    (
-                        model,
-                        strategy::metric_strategy_ladder(
-                            net,
-                            &pairs,
-                            &deployment,
-                            Policy::new(model),
-                            &AttackStrategy::LADDER,
-                            cfg.parallelism,
-                        ),
-                    )
-                })
+                .zip(strategy::metric_strategy_ladder(
+                    net,
+                    &pairs,
+                    &deployment,
+                    &SecurityModel::ALL.map(Policy::new),
+                    &AttackStrategy::LADDER,
+                    cfg.parallelism,
+                ))
                 .collect(),
         })
         .collect()

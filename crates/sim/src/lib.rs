@@ -10,30 +10,32 @@
 //!   enumeration is infeasible);
 //! * [`scenario`] — the §5 deployment scenarios (Tier 1+2 rollouts, CP
 //!   variants, Tier-2-only, all non-stubs, simplex-at-stubs);
-//! * [`runner`] — a `std::thread::scope` worker pool that evaluates
-//!   destination-major pair groups with one reusable
-//!   [`sbgp_core::AttackDeltaEngine`] per worker (each destination's
-//!   normal-conditions outcome is computed once and every attacker is a
-//!   contested-region patch), reducing per-chunk accumulators in a fixed
-//!   order so results are bit-identical at any thread count;
-//! * [`sweep`] — deployment-sweep runners composing both amortization
-//!   axes: per destination, the delta engine anchors each pair's first
-//!   step and a [`sbgp_core::SweepEngine`] adopted from that patch
-//!   carries the remaining deployments incrementally — in any direction:
-//!   the `metric_churn` variants serve wax-and-wane trajectories through
-//!   the engine's retraction path and surface the merged per-run
-//!   [`sbgp_core::SweepStats`];
+//! * [`runner`] — the crate's one parallel reduction
+//!   ([`runner::map_reduce`]): a `std::thread::scope` worker pool that
+//!   claims work items one at a time, gives every worker its own reusable
+//!   engine, isolates panics per item, and merges item accumulators in
+//!   item order, so results are bit-identical at any thread count;
+//! * [`sweep`] — the explicit-pair metric drivers: `H_{M,D}(S_k)` for every
+//!   policy cell of a [`sbgp_core::CellSet`] along a deployment sequence
+//!   (one deployment is the plain metric), over pairs or per destination.
+//!   Per destination, one [`sbgp_core::FusedDeltaEngine`] attack serves
+//!   every cell's first step and a per-lane [`sbgp_core::SweepEngine`]
+//!   carries the remaining deployments incrementally, in any direction,
+//!   surfacing the merged [`sbgp_core::SweepStats`];
 //! * [`strategy`] — strategic attackers: per-pair optimal-strategy
 //!   ladders over `k`-hop forged paths, and colluding announcer sets
 //!   served by [`sbgp_core::AttackDeltaEngine::attack_set`];
 //! * [`stats`] — the statistical estimation subsystem: tier-stratified
 //!   pair sampling with nested without-replacement prefixes, streaming
 //!   per-stratum Welford accumulators, population-weighted recombination
-//!   with confidence intervals, and adaptive sample growth;
+//!   with confidence intervals, the one adaptive round loop, and the
+//!   per-pair kernels ([`stats::SweepCellsEval`],
+//!   [`stats::LadderCellsEval`]) every metric driver evaluates through;
 //! * [`supervise`] — the crash-contained distributed campaign: a
-//!   coordinator sharding destination groups across supervised worker
-//!   processes (watchdogs, exponential-backoff respawn, K-strikes
-//!   degradation) with bit-identical merging, plus checkpoint content
+//!   coordinator sharding each round's destination groups across
+//!   supervised worker processes (watchdogs, exponential-backoff respawn,
+//!   K-strikes degradation) as the second backend of the adaptive round
+//!   loop, bit-identical to the in-process one, plus checkpoint content
 //!   checksums;
 //! * [`faultpoint`] — seeded deterministic fault injection (compiled to
 //!   no-ops without the `fault-injection` feature) for exercising the

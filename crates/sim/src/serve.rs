@@ -48,7 +48,10 @@
 //! ```
 //!
 //! All ids are dense graph ids (`0..n`); `models`/`strategies` default to
-//! `["sec3"]`/`["fakelink"]`, `variant` to `"lp"`. Replies echo the id:
+//! `["sec3"]`/`["fakelink"]`, `variant` to `"lp"` — defaults apply only to
+//! *absent* keys. Frames are compact JSON (no whitespace around `:` or
+//! `,`); a key that is present but unreadable draws an error reply, never
+//! a default. Replies echo the id:
 //!
 //! ```text
 //! {"op":"reply","schema":"planner-v1","id":1,"mode":"exact","pairs":4,"population":4,
@@ -67,7 +70,7 @@
 //! normal outcome is bit-identical to a freshly computed one — the
 //! engines are deterministic and `tests/planner.rs` pins it), the exact
 //! path merges per-destination accumulators in item order, and the
-//! estimate path inherits the chunk-order reduction of [`crate::stats`].
+//! estimate path inherits the group-order reduction of [`crate::stats`].
 //! Timing never appears in a reply (the `"stats"` op is the explicitly
 //! cache-state-dependent exception). A `"deadline_ms"` overrun turns the
 //! reply into an error frame instead of a partial answer, so successful
@@ -84,7 +87,7 @@ use sbgp_core::{
 };
 use sbgp_topology::AsId;
 
-use crate::runner::{map_reduce_grouped, Parallelism};
+use crate::runner::{map_reduce, Parallelism};
 use crate::stats::{estimate_adaptive_cells_eval, CellEval, EstimatorConfig, PairUniverse};
 use crate::supervise::{
     json_str_field, json_u64_field, json_u64s, read_frame, sanitize, write_frame,
@@ -338,8 +341,28 @@ pub struct Query {
     pub deadline_ms: Option<u64>,
 }
 
+/// True when `"key"` occurs as an object key (followed by a colon).
+fn has_key(text: &str, key: &str) -> bool {
+    let pat = format!("\"{key}\"");
+    text.match_indices(&pat)
+        .any(|(i, _)| text[i + pat.len()..].trim_start().starts_with(':'))
+}
+
+/// A scanned field: `Ok(None)` only when the key is absent. A key that is
+/// present but unreadable by the compact scanners (`"key":value`, no
+/// whitespace) is an error, never a silent default.
+fn field<T>(text: &str, key: &str, scanned: Option<T>) -> Result<Option<T>, String> {
+    match scanned {
+        None if has_key(text, key) => Err(format!(
+            "{key}: unreadable value (frames are compact JSON: no whitespace \
+             around ':' or ',')"
+        )),
+        scanned => Ok(scanned),
+    }
+}
+
 fn parse_ids(text: &str, key: &str, n: usize) -> Result<Vec<AsId>, String> {
-    let raw = json_u64s(text, key).unwrap_or_default();
+    let raw = field(text, key, json_u64s(text, key))?.unwrap_or_default();
     let mut out = Vec::with_capacity(raw.len());
     for v in raw {
         if v >= n as u64 {
@@ -369,7 +392,7 @@ impl Query {
         if n < 3 {
             return Err(format!("graph has {n} ASes; the metric needs at least 3"));
         }
-        let id = json_u64_field(text, "id").unwrap_or(0);
+        let id = field(text, "id", json_u64_field(text, "id"))?.unwrap_or(0);
         let secure = parse_ids(text, "secure", n)?;
         let simplex = parse_ids(text, "simplex", n)?;
         let attackers = parse_ids(text, "attackers", n)?;
@@ -382,18 +405,18 @@ impl Query {
         }
         reject_duplicates(&attackers, "attackers")?;
         reject_duplicates(&destinations, "destinations")?;
-        let models = match json_str_list(text, "models") {
+        let models = match field(text, "models", json_str_list(text, "models"))? {
             Some(toks) if !toks.is_empty() => toks
                 .iter()
                 .map(|t| parse_model(t))
                 .collect::<Result<Vec<_>, _>>()?,
             _ => vec![SecurityModel::Security3rd],
         };
-        let variant = match json_str_field(text, "variant") {
+        let variant = match field(text, "variant", json_str_field(text, "variant"))? {
             Some(tok) => parse_variant(tok)?,
             None => LpVariant::Standard,
         };
-        let strategies = match json_str_list(text, "strategies") {
+        let strategies = match field(text, "strategies", json_str_list(text, "strategies"))? {
             Some(toks) if !toks.is_empty() => toks
                 .iter()
                 .map(|t| parse_strategy(t))
@@ -407,11 +430,11 @@ impl Query {
                 strategies.len()
             ));
         }
-        let budget = match json_u64_field(text, "budget") {
+        let budget = match field(text, "budget", json_u64_field(text, "budget"))? {
             Some(0) | None => None,
             Some(b) => Some(b),
         };
-        let deadline_ms = match json_u64_field(text, "deadline_ms") {
+        let deadline_ms = match field(text, "deadline_ms", json_u64_field(text, "deadline_ms"))? {
             Some(0) | None => None,
             Some(ms) => Some(ms),
         };
@@ -431,7 +454,7 @@ impl Query {
             variant,
             strategies,
             budget,
-            seed: json_u64_field(text, "seed").unwrap_or(0),
+            seed: field(text, "seed", json_u64_field(text, "seed"))?.unwrap_or(0),
             deadline_ms,
         })
     }
@@ -823,7 +846,7 @@ impl Planner {
         let sources = (n - 2) as f64;
         let graph = &self.net.graph;
         let ncells = cells.input_len();
-        let acc = map_reduce_grouped(
+        let acc = map_reduce(
             self.cfg.parallelism,
             &items,
             || FusedDeltaEngine::new(graph, cells.clone()),
@@ -857,7 +880,8 @@ impl Planner {
                 }
             },
             |a, b| a.merge(b),
-        );
+        )
+        .unwrap();
         if acc.timed_out {
             return Err(format!(
                 "deadline exceeded ({} ms)",

@@ -21,11 +21,13 @@
 //!   adds seats, never moves one, so per-stratum samples are nested across
 //!   adaptive rounds.
 //! * Per-pair statistics stream into per-stratum [`Welford`] accumulators
-//!   (mean and variance in one pass, no stored samples). **Chunk-order
-//!   exactness invariant:** pairs are folded in their fixed sample order
-//!   within each work chunk and chunk accumulators are merged in chunk
-//!   order — never in worker-completion order — so every estimate is
-//!   bit-identical at any [`Parallelism`] (`tests/determinism.rs`).
+//!   (mean and variance in one pass, no stored samples). **Group-order
+//!   exactness invariant:** each destination group folds its pairs in
+//!   their fixed sample order, a round's group accumulators fold from empty
+//!   in group order — never in worker-completion order — and the round
+//!   then merges into the persistent state, so every estimate is
+//!   bit-identical at any [`Parallelism`] and any supervised worker count
+//!   (`tests/determinism.rs`, `tests/campaign.rs`).
 //! * [`Estimate`]s recombine the strata with **population weights**:
 //!   `Ĥ = Σ_h (N_h/N) x̄_h`. Because each `x̄_h` is the mean of a uniform
 //!   without-replacement sample of stratum `h`, `E[x̄_h]` is the stratum
@@ -37,31 +39,34 @@
 //!   full budget — where the estimate *equals* the exhaustive value
 //!   (`tests/estimator_conformance.rs` pins both properties against
 //!   [`crate::sample::pairs_exhaustive`]).
-//! * [`estimate_adaptive`] grows the sample in seeded, deterministic
+//! * One private round loop grows the sample in seeded, deterministic
 //!   doubling rounds until the widest confidence half-width hits
-//!   [`EstimatorConfig::ci_target`] or the pair budget is exhausted. The
-//!   round schedule does not depend on the target, so a tighter target
-//!   stops at a later round and its sample is a **superset** of every
-//!   looser target's sample.
-//! * The fused multi-cell drivers ([`estimate_metric_cells`],
-//!   [`estimate_metric_sweep_cells`], [`estimate_strategy_ladder_cells`])
-//!   run *every policy* of a figure through one
-//!   [`sbgp_core::FusedDeltaEngine`] per worker, sharing the sample stream
-//!   and the snapshot traversal across cells. Because the sampling
-//!   schedule depends only on the universe and the seed — never on the
-//!   policy — each cell can stop at its own round and still reproduce its
-//!   solo estimator **bit for bit** ([`estimate_adaptive_cells`]).
+//!   [`EstimatorConfig::ci_target`] or the pair budget is exhausted. It
+//!   owns the schedule, allocation, grouping, merge, lost-group
+//!   bookkeeping and the per-cell freeze; its two backends differ only in
+//!   how a round's destination groups are evaluated: in-process
+//!   ([`estimate_adaptive_cells_eval`]) or by supervised worker processes
+//!   ([`crate::supervise::estimate_adaptive_supervised`]).
+//! * Groups are evaluated through a [`CellEval`] kernel. The two figure
+//!   kernels, [`SweepCellsEval`] (a policy set along a deployment
+//!   sequence) and [`LadderCellsEval`] (a policy × rung grid), run *every
+//!   policy* of a figure through one [`sbgp_core::FusedDeltaEngine`] per
+//!   worker; they expose integer happy counts, which the explicit-pair
+//!   drivers of [`crate::sweep`] and [`crate::strategy`] fold too. Because
+//!   the sampling schedule depends only on the universe and the seed —
+//!   never on the policy — each cell stops at its own round and its run is
+//!   bit-identical to a one-policy run.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use sbgp_core::{
-    AttackDeltaEngine, AttackScenario, AttackStrategy, Bounds, CellSet, Deployment,
-    FusedDeltaEngine, Policy, SweepEngine,
+    AttackScenario, AttackStrategy, Bounds, CellSet, Deployment, FusedDeltaEngine, HappyCount,
+    Policy, SweepEngine,
 };
 use sbgp_topology::tier::{Tier, FIGURE_TIER_ORDER};
 use sbgp_topology::AsId;
 
-use crate::runner::{map_reduce_grouped, map_reduce_grouped_isolated, Parallelism};
+use crate::runner::{map_reduce, Parallelism};
 use crate::Internet;
 
 /// The default two-sided 95% normal quantile.
@@ -74,7 +79,7 @@ pub const Z_95: f64 = 1.959_963_984_540_054;
 /// Streaming mean/variance accumulator (Welford's algorithm), mergeable via
 /// the Chan et al. pairwise update. Merging is exact in operand order:
 /// merging the same accumulators in the same order always produces the same
-/// bits, which is what the chunk-order reduction relies on.
+/// bits, which is what the group-order reduction relies on.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Welford {
     n: u64,
@@ -563,7 +568,7 @@ pub(crate) fn recombine(universe: &PairUniverse, stats: &[StratumStats], z: f64)
 // Adaptive estimation driver
 // ---------------------------------------------------------------------------
 
-/// Configuration for [`estimate_adaptive`] and its wrappers.
+/// Configuration of an adaptive estimation run.
 #[derive(Clone, Copy, Debug)]
 pub struct EstimatorConfig {
     /// Stop once every tracked statistic's confidence half-width is at or
@@ -641,11 +646,15 @@ impl AdaptiveRun {
     }
 }
 
+/// One destination group of a round: the destination and its
+/// `(attacker, stratum)` pairs, in sample order.
+pub(crate) type DestGroup = (AsId, Vec<(AsId, usize)>);
+
 /// Group tagged pairs destination-major (first-appearance order), keeping
-/// each attacker's stratum tag — the shape the delta engine amortizes.
-pub(crate) fn group_tagged_by_destination(pairs: &[TaggedPair]) -> Vec<(AsId, Vec<(AsId, usize)>)> {
+/// each attacker's stratum tag — the shape the engines amortize.
+pub(crate) fn group_tagged_by_destination(pairs: &[TaggedPair]) -> Vec<DestGroup> {
     let mut index: HashMap<AsId, usize> = HashMap::new();
-    let mut groups: Vec<(AsId, Vec<(AsId, usize)>)> = Vec::new();
+    let mut groups: Vec<DestGroup> = Vec::new();
     for p in pairs {
         let slot = *index.entry(p.dest).or_insert_with(|| {
             groups.push((p.dest, Vec::new()));
@@ -656,131 +665,79 @@ pub(crate) fn group_tagged_by_destination(pairs: &[TaggedPair]) -> Vec<(AsId, Ve
     groups
 }
 
-/// The generic adaptive estimation loop.
-///
-/// `stat_count` statistics are tracked per pair (for a deployment sweep,
-/// one per step; for a strategy ladder, one per rung plus the optimum).
-/// `begin_destination` runs once per destination group on the worker's
-/// scratch (typically an engine `begin`); `eval_pair` evaluates one
-/// `(m, d)` pair and emits each statistic's `Bounds` through the callback
-/// (indices `0..stat_count`, at most once each per pair).
-///
-/// Rounds double the cumulative sample-size target from
-/// [`EstimatorConfig::initial`] until the CI target is met or the budget
-/// (clamped to the population) is exhausted. Every round's increment is
-/// evaluated through [`map_reduce_grouped`] with chunk-order merging, and
-/// round accumulators merge into the persistent per-stratum state in round
-/// order — so the whole run is bit-identical at any thread count.
-pub fn estimate_adaptive<W>(
-    universe: &PairUniverse,
-    cfg: &EstimatorConfig,
-    stat_count: usize,
-    par: Parallelism,
-    make_worker: impl Fn() -> W + Sync,
-    begin_destination: impl Fn(&mut W, AsId) + Sync,
-    eval_pair: impl Fn(&mut W, AsId, AsId, &mut dyn FnMut(usize, Bounds)) + Sync,
-) -> AdaptiveRun {
-    let nstrata = universe.strata().len();
-    let budget = cfg.budget.min(universe.population());
-    let mut run = AdaptiveRun {
-        estimates: vec![Estimate::default(); stat_count],
-        rounds: Vec::new(),
-        sampled: Vec::new(),
-        population: universe.population(),
-        strata: nstrata,
-        lost_groups: 0,
-        lost_pairs: 0,
-    };
-    if budget == 0 || stat_count == 0 {
-        return run;
-    }
-    let sampler = StratifiedSampler::new(universe, cfg.seed);
-    let initial = if cfg.initial == 0 {
-        (2 * nstrata as u64).max(64)
-    } else {
-        cfg.initial
-    };
-    let mut counts = vec![0u64; nstrata];
-    let mut persistent: Vec<Vec<StratumStats>> =
-        vec![vec![StratumStats::default(); nstrata]; stat_count];
-    let mut target = initial.min(budget);
-    loop {
-        let prev = counts.clone();
-        universe.allocate_into(&mut counts, target);
-        let incr = sampler.increment(&prev, &counts);
-        let groups = group_tagged_by_destination(&incr);
-        let round = map_reduce_grouped(
-            par,
-            &groups,
-            &make_worker,
-            || vec![vec![StratumStats::default(); nstrata]; stat_count],
-            |worker, acc, (d, attackers)| {
-                begin_destination(worker, *d);
-                for &(m, h) in attackers {
-                    eval_pair(worker, m, *d, &mut |k, b| acc[k][h].push(b));
-                }
-            },
-            |a, b| {
-                for (xs, ys) in a.iter_mut().zip(b) {
-                    for (x, y) in xs.iter_mut().zip(ys) {
-                        x.merge(y);
-                    }
-                }
-            },
-        );
-        for (p, r) in persistent.iter_mut().zip(round) {
-            for (x, y) in p.iter_mut().zip(r) {
+/// Per-cell, per-statistic, per-stratum accumulators: `acc[c][k][h]`.
+pub(crate) type CellStats = Vec<Vec<Vec<StratumStats>>>;
+
+/// Empty accumulators for a `cell_stats` shape over `nstrata` strata.
+pub(crate) fn empty_cell_stats(cell_stats: &[usize], nstrata: usize) -> CellStats {
+    cell_stats
+        .iter()
+        .map(|&k| vec![vec![StratumStats::default(); nstrata]; k])
+        .collect()
+}
+
+/// Merge `from` into `into`, accumulator by accumulator.
+pub(crate) fn merge_cell_stats(into: &mut CellStats, from: CellStats) {
+    for (cell_a, cell_b) in into.iter_mut().zip(from) {
+        for (xs, ys) in cell_a.iter_mut().zip(cell_b) {
+            for (x, y) in xs.iter_mut().zip(ys) {
                 x.merge(y);
             }
         }
-        run.sampled
-            .extend(incr.iter().map(|p| (p.attacker, p.dest)));
-        run.estimates = persistent
-            .iter()
-            .map(|stats| recombine(universe, stats, cfg.z))
-            .collect();
-        let total: u64 = counts.iter().sum();
-        run.rounds.push(RoundTrace {
-            pairs: total,
-            max_halfwidth: run.max_halfwidth(),
-        });
-        let ci_met = cfg.ci_target.is_some_and(|t| run.max_halfwidth() <= t);
-        if ci_met || total >= budget {
-            return run;
-        }
-        target = (total * 2).min(budget);
     }
 }
 
-/// The multi-cell generalization of [`estimate_adaptive`]: `cell_stats[c]`
-/// statistics are tracked for each of several *cells* (policy × figure
-/// lanes sharing one worker), and every cell stops **on its own schedule**.
+/// Fold one destination group through a [`CellEval`] kernel into `acc`:
+/// one `begin`, then every pair in sample order. The in-process estimator
+/// and the supervised worker both evaluate groups through this.
+pub(crate) fn eval_group<E: CellEval>(
+    eval: &E,
+    w: &mut E::Worker,
+    acc: &mut CellStats,
+    dest: AsId,
+    attackers: &[(AsId, usize)],
+) {
+    eval.begin(w, dest);
+    for &(m, h) in attackers {
+        eval.eval_pair(w, m, dest, &mut |c, k, b| acc[c][k][h].push(b));
+    }
+}
+
+/// The adaptive round loop behind every estimator: `cell_stats[c]`
+/// statistics are tracked for each of several *cells* (policy lanes
+/// sharing one evaluator), and every cell stops **on its own schedule**.
 ///
-/// The round schedule — allocation targets, per-stratum counts, sampled
-/// pairs — depends only on the universe and `cfg`, never on the observed
-/// statistics, so cell `c`'s solo run ([`estimate_adaptive`] with
-/// `stat_count = cell_stats[c]`) executes a *prefix* of the fused rounds.
-/// The driver freezes each cell's accumulators, sample list and trajectory
-/// at exactly the round where its solo run would stop (its CI target met,
-/// or the shared budget exhausted), so each returned [`AdaptiveRun`] is
-/// bit-identical to the solo run's. Evaluation for already-stopped cells
-/// still happens (the fused engine serves all lanes in one traversal; the
-/// marginal cost is the point) — its emissions are simply not folded.
+/// Rounds double the cumulative sample-size target from
+/// [`EstimatorConfig::initial`] until the CI target is met or the budget
+/// (clamped to the population) is exhausted. Each round allocates seats
+/// ([`PairUniverse::allocate_into`]), draws the increment
+/// ([`StratifiedSampler::increment`]), groups it by destination, and hands
+/// the groups to `eval_round`, which returns the round's accumulators —
+/// group accumulators folded from empty **in group order** — plus the
+/// indices of the groups it lost. The round then merges into each active
+/// cell's persistent state. Both backends — in-process
+/// ([`estimate_adaptive_cells_eval`]) and supervised
+/// ([`crate::supervise::estimate_adaptive_supervised`]) — honor that fold
+/// order, so they agree bit for bit at any thread or worker count.
 ///
-/// Evaluation is **panic-isolated**
-/// ([`map_reduce_grouped_isolated`]): a destination group that
-/// panics mid-evaluation is dropped from every active cell (tracked in
+/// The schedule depends only on the universe and `cfg`, never on the
+/// observed statistics, so a cell's run with fewer co-evaluated cells
+/// executes a *prefix* of the same rounds. The loop freezes each cell's
+/// accumulators, sample list and trajectory at exactly the round where it
+/// stops (its CI target met, or the shared budget exhausted), so each
+/// returned [`AdaptiveRun`] is independent of the cells it shared rounds
+/// with. A tighter target stops at a later round, and its sample is a
+/// **superset** of every looser target's sample.
+///
+/// Lost groups are dropped from every active cell (tracked in
 /// [`AdaptiveRun::lost_groups`] / [`AdaptiveRun::lost_pairs`]) instead of
-/// aborting the whole run. With no panics the isolation is free and the
-/// results are unchanged, bit for bit.
-pub fn estimate_adaptive_cells<W>(
+/// aborting the run; their pairs leave the sample list, so estimates and
+/// sample stay consistent.
+pub(crate) fn run_rounds(
     universe: &PairUniverse,
     cfg: &EstimatorConfig,
     cell_stats: &[usize],
-    par: Parallelism,
-    make_worker: impl Fn() -> W + Sync,
-    begin_destination: impl Fn(&mut W, AsId) + Sync,
-    eval_pair: impl Fn(&mut W, AsId, AsId, &mut dyn FnMut(usize, usize, Bounds)) + Sync,
+    mut eval_round: impl FnMut(&[DestGroup]) -> (CellStats, Vec<usize>),
 ) -> Vec<AdaptiveRun> {
     let nstrata = universe.strata().len();
     let budget = cfg.budget.min(universe.population());
@@ -796,7 +753,7 @@ pub fn estimate_adaptive_cells<W>(
             lost_pairs: 0,
         })
         .collect();
-    // A zero-stat cell is done before sampling, exactly like its solo run.
+    // A zero-stat cell is done before sampling.
     let mut active: Vec<bool> = cell_stats.iter().map(|&k| k > 0 && budget > 0).collect();
     if !active.iter().any(|&a| a) {
         return runs;
@@ -808,76 +765,33 @@ pub fn estimate_adaptive_cells<W>(
         cfg.initial
     };
     let mut counts = vec![0u64; nstrata];
-    let mut persistent: Vec<Vec<Vec<StratumStats>>> = cell_stats
-        .iter()
-        .map(|&k| vec![vec![StratumStats::default(); nstrata]; k])
-        .collect();
+    let mut persistent = empty_cell_stats(cell_stats, nstrata);
     let mut target = initial.min(budget);
     loop {
         let prev = counts.clone();
         universe.allocate_into(&mut counts, target);
         let incr = sampler.increment(&prev, &counts);
         let groups = group_tagged_by_destination(&incr);
-        let active_now = &active;
-        let (round, poisoned) = map_reduce_grouped_isolated(
-            par,
-            &groups,
-            &make_worker,
-            || {
-                cell_stats
-                    .iter()
-                    .map(|&k| vec![vec![StratumStats::default(); nstrata]; k])
-                    .collect::<Vec<_>>()
-            },
-            |worker, acc, (d, attackers)| {
-                begin_destination(worker, *d);
-                for &(m, h) in attackers {
-                    eval_pair(worker, m, *d, &mut |c, k, b| {
-                        if active_now[c] {
-                            acc[c][k][h].push(b);
-                        }
-                    });
-                }
-            },
-            |a, b| {
-                for (cell_a, cell_b) in a.iter_mut().zip(b) {
-                    for (xs, ys) in cell_a.iter_mut().zip(cell_b) {
-                        for (x, y) in xs.iter_mut().zip(ys) {
-                            x.merge(y);
-                        }
-                    }
-                }
-            },
-        );
-        for (p, r) in persistent.iter_mut().zip(round) {
-            for (xs, ys) in p.iter_mut().zip(r) {
+        let (round, lost_groups) = eval_round(&groups);
+        let lost: HashSet<AsId> = lost_groups.iter().map(|&g| groups[g].0).collect();
+        let lost_pairs: u64 = lost_groups.iter().map(|&g| groups[g].1.len() as u64).sum();
+        let total: u64 = counts.iter().sum();
+        for (c, (run, round)) in runs.iter_mut().zip(round).enumerate() {
+            if !active[c] {
+                continue;
+            }
+            for (xs, ys) in persistent[c].iter_mut().zip(round) {
                 for (x, y) in xs.iter_mut().zip(ys) {
                     x.merge(y);
                 }
             }
-        }
-        // Pairs of poisoned groups never reached an accumulator: drop
-        // them from every active cell's sample and mark the loss, so the
-        // estimates and the sample list stay consistent.
-        let lost: std::collections::HashSet<AsId> = poisoned.iter().map(|&g| groups[g].0).collect();
-        let lost_pairs: u64 = poisoned.iter().map(|&g| groups[g].1.len() as u64).sum();
-        let total: u64 = counts.iter().sum();
-        for (c, run) in runs.iter_mut().enumerate() {
-            if !active[c] {
-                continue;
-            }
-            if lost.is_empty() {
-                run.sampled
-                    .extend(incr.iter().map(|p| (p.attacker, p.dest)));
-            } else {
-                run.sampled.extend(
-                    incr.iter()
-                        .filter(|p| !lost.contains(&p.dest))
-                        .map(|p| (p.attacker, p.dest)),
-                );
-                run.lost_groups += poisoned.len() as u64;
-                run.lost_pairs += lost_pairs;
-            }
+            run.sampled.extend(
+                incr.iter()
+                    .filter(|p| !lost.contains(&p.dest))
+                    .map(|p| (p.attacker, p.dest)),
+            );
+            run.lost_groups += lost_groups.len() as u64;
+            run.lost_pairs += lost_pairs;
             run.estimates = persistent[c]
                 .iter()
                 .map(|stats| recombine(universe, stats, cfg.z))
@@ -899,180 +813,15 @@ pub fn estimate_adaptive_cells<W>(
 }
 
 // ---------------------------------------------------------------------------
-// Concrete estimators
+// Evaluation kernels and the in-process estimators
 // ---------------------------------------------------------------------------
 
-/// Estimate `H_{M,D}(S)` with a confidence interval (a one-step
-/// [`estimate_metric_sweep`]); `estimates[0]` is the metric.
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_metric(
-    net: &Internet,
-    attacker_pool: &[AsId],
-    dest_pool: &[AsId],
-    deployment: &Deployment,
-    policy: Policy,
-    strategy: AttackStrategy,
-    cfg: &EstimatorConfig,
-    par: Parallelism,
-) -> AdaptiveRun {
-    estimate_metric_sweep(
-        net,
-        attacker_pool,
-        dest_pool,
-        std::slice::from_ref(deployment),
-        policy,
-        strategy,
-        cfg,
-        par,
-    )
-}
-
-/// Estimate `H_{M,D}(S_k)` for every deployment of a sweep, with one
-/// confidence interval per step. Adaptive stopping watches the *widest*
-/// half-width across steps, so every step meets the target. Rides the same
-/// two-axis amortization as [`crate::sweep::metric_sweep`]: each
-/// destination group's first step is an [`AttackDeltaEngine`] patch and the
-/// remaining steps a [`SweepEngine`] adoption.
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_metric_sweep(
-    net: &Internet,
-    attacker_pool: &[AsId],
-    dest_pool: &[AsId],
-    deployments: &[Deployment],
-    policy: Policy,
-    strategy: AttackStrategy,
-    cfg: &EstimatorConfig,
-    par: Parallelism,
-) -> AdaptiveRun {
-    let universe = PairUniverse::new(net, attacker_pool, dest_pool);
-    let sources = (net.graph.len() - 2).max(1) as f64;
-    let fraction = move |(lower, upper): (usize, usize)| Bounds {
-        lower: lower as f64 / sources,
-        upper: upper as f64 / sources,
-    };
-    estimate_adaptive(
-        &universe,
-        cfg,
-        deployments.len(),
-        par,
-        || {
-            (
-                SweepEngine::new(&net.graph),
-                AttackDeltaEngine::new(&net.graph),
-            )
-        },
-        |(_, delta), d| {
-            if let Some(first) = deployments.first() {
-                delta.begin(d, first, policy);
-            }
-        },
-        |(sweep, delta), m, d, emit| {
-            delta.attack(m, strategy);
-            emit(0, fraction(delta.count_happy()));
-            if deployments.len() > 1 {
-                let scenario = AttackScenario::attack(m, d).with_strategy(strategy);
-                sweep.begin_from(
-                    scenario,
-                    policy,
-                    &deployments[0],
-                    delta.last_outcome(),
-                    delta.count_happy(),
-                );
-                for (k, dep) in deployments.iter().enumerate().skip(1) {
-                    sweep.advance(dep);
-                    emit(k, fraction(sweep.count_happy()));
-                }
-            }
-        },
-    )
-}
-
-/// A strategy ladder with confidence intervals: per-rung estimates plus the
-/// per-pair damage-maximizing choice (the statistic
-/// [`crate::strategy::metric_strategy_ladder`] reports as `optimal`).
-#[derive(Clone, Debug)]
-pub struct LadderEstimate {
-    /// The evaluated rungs.
-    pub rungs: Vec<AttackStrategy>,
-    /// One estimate per rung.
-    pub per_rung: Vec<Estimate>,
-    /// The per-pair optimal-rung estimate.
-    pub optimal: Estimate,
-    /// The underlying adaptive run (trajectory, sample, population).
-    pub run: AdaptiveRun,
-}
-
-/// Estimate every rung of a strategy ladder and the per-pair optimum, with
-/// confidence intervals, under one deployment.
-///
-/// # Panics
-///
-/// Panics when `rungs` is empty.
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_strategy_ladder(
-    net: &Internet,
-    attacker_pool: &[AsId],
-    dest_pool: &[AsId],
-    deployment: &Deployment,
-    policy: Policy,
-    rungs: &[AttackStrategy],
-    cfg: &EstimatorConfig,
-    par: Parallelism,
-) -> LadderEstimate {
-    assert!(!rungs.is_empty(), "the ladder needs at least one rung");
-    let universe = PairUniverse::new(net, attacker_pool, dest_pool);
-    let sources = (net.graph.len() - 2).max(1) as f64;
-    let run = estimate_adaptive(
-        &universe,
-        cfg,
-        rungs.len() + 1,
-        par,
-        || AttackDeltaEngine::new(&net.graph),
-        |delta, d| delta.begin(d, deployment, policy),
-        |delta, m, _d, emit| {
-            let mut best = (usize::MAX, usize::MAX);
-            for (r, &strategy) in rungs.iter().enumerate() {
-                delta.attack(m, strategy);
-                let (lower, upper) = delta.count_happy();
-                emit(
-                    r,
-                    Bounds {
-                        lower: lower as f64 / sources,
-                        upper: upper as f64 / sources,
-                    },
-                );
-                best = best.min((lower, upper));
-            }
-            emit(
-                rungs.len(),
-                Bounds {
-                    lower: best.0 as f64 / sources,
-                    upper: best.1 as f64 / sources,
-                },
-            );
-        },
-    );
-    // `run` keeps the full statistics vector (per rung, optimal last) so
-    // its trajectory and max half-width stay meaningful to callers.
-    let optimal = *run.estimates.last().expect("rungs is nonempty");
-    LadderEstimate {
-        rungs: rungs.to_vec(),
-        per_rung: run.estimates[..rungs.len()].to_vec(),
-        optimal,
-        run,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fused multi-cell estimators (one engine pass serves every policy)
-// ---------------------------------------------------------------------------
-
-/// A figure's multi-cell evaluation kernel, factored out of the closures
-/// of [`estimate_adaptive_cells`] so the *same* code path serves both the
-/// in-process estimators and the supervised multi-process campaign
-/// ([`crate::supervise`]): a worker process rebuilds the evaluator from
-/// its group spec and replays destination groups through it, which is
-/// what makes an N-worker run bit-identical to the single-process run.
+/// A figure's multi-cell evaluation kernel. The *same* kernel serves the
+/// in-process estimator ([`estimate_adaptive_cells_eval`]) and the
+/// supervised multi-process campaign ([`crate::supervise`]): a worker
+/// process rebuilds the evaluator from its group spec and replays
+/// destination groups through it, which is what makes an N-worker run
+/// bit-identical to the single-process run.
 pub trait CellEval: Sync {
     /// Per-thread scratch (typically one fused engine, plus sweep engines).
     type Worker;
@@ -1097,35 +846,43 @@ pub trait CellEval: Sync {
     );
 }
 
-/// [`estimate_adaptive_cells`] driven by a [`CellEval`].
+/// The in-process adaptive estimator: the module's round loop with each
+/// round's destination groups evaluated through `eval` by the crate's
+/// reduction ([`map_reduce`]). A group that panics mid-evaluation is lost (see
+/// [`AdaptiveRun::lost_groups`]); with no panics the isolation is free.
 pub fn estimate_adaptive_cells_eval<E: CellEval>(
     universe: &PairUniverse,
     cfg: &EstimatorConfig,
     eval: &E,
     par: Parallelism,
 ) -> Vec<AdaptiveRun> {
-    estimate_adaptive_cells(
-        universe,
-        cfg,
-        &eval.cell_stats(),
-        par,
-        || eval.make_worker(),
-        |w, d| eval.begin(w, d),
-        |w, m, d, emit| eval.eval_pair(w, m, d, emit),
-    )
+    let cell_stats = eval.cell_stats();
+    let nstrata = universe.strata().len();
+    run_rounds(universe, cfg, &cell_stats, |groups| {
+        let round = map_reduce(
+            par,
+            groups,
+            || eval.make_worker(),
+            || empty_cell_stats(&cell_stats, nstrata),
+            |w, acc, (d, attackers)| eval_group(eval, w, acc, *d, attackers),
+            merge_cell_stats,
+        );
+        (round.acc, round.lost.into_iter().map(|(g, _)| g).collect())
+    })
 }
 
-/// The deployment-sweep kernel behind [`estimate_metric_sweep_cells`]
-/// (and, with a single deployment, [`estimate_metric_cells`]): one fused
-/// patch per pair serves every policy lane's first step, and a per-lane
-/// [`SweepEngine`] adopted from the fused outcome carries the remaining
-/// deployments.
+/// The deployment-sweep kernel, and the only place that walks a pair
+/// along a deployment sequence: one fused attack per pair serves every
+/// policy lane's first step, and a per-lane [`SweepEngine`] adopted from
+/// the lane's fused outcome carries the remaining deployments. Behind
+/// [`estimate_metric_sweep_cells`] (and, with a single deployment, every
+/// one-deployment metric) and the explicit-pair drivers of
+/// [`crate::sweep`].
 pub struct SweepCellsEval<'a> {
     net: &'a Internet,
     deployments: &'a [Deployment],
     cells: CellSet,
-    npolicies: usize,
-    sources: f64,
+    sources: usize,
 }
 
 impl<'a> SweepCellsEval<'a> {
@@ -1136,19 +893,61 @@ impl<'a> SweepCellsEval<'a> {
         policies: &[Policy],
         strategy: AttackStrategy,
     ) -> SweepCellsEval<'a> {
+        SweepCellsEval::with_cells(net, deployments, CellSet::per_policy(policies, strategy))
+    }
+
+    /// Build the kernel for an arbitrary cell set.
+    pub fn with_cells(
+        net: &'a Internet,
+        deployments: &'a [Deployment],
+        cells: CellSet,
+    ) -> SweepCellsEval<'a> {
         SweepCellsEval {
             net,
             deployments,
-            cells: CellSet::per_policy(policies, strategy),
-            npolicies: policies.len(),
-            sources: (net.graph.len() - 2).max(1) as f64,
+            cells,
+            sources: net.graph.len() - 2,
         }
     }
 
-    fn fraction(&self, (lower, upper): (usize, usize)) -> Bounds {
-        Bounds {
-            lower: lower as f64 / self.sources,
-            upper: upper as f64 / self.sources,
+    /// Evaluate one `(m, d)` pair (after [`CellEval::begin`] on `d`),
+    /// emitting `(input cell, step, happy count)` for every cell and
+    /// deployment. Needs at least one deployment.
+    pub fn eval_counts(
+        &self,
+        (fused, sweeps): &mut <Self as CellEval>::Worker,
+        m: AsId,
+        d: AsId,
+        mut emit: impl FnMut(usize, usize, HappyCount),
+    ) {
+        let count = |(lower, upper): (usize, usize)| HappyCount {
+            lower,
+            upper,
+            sources: self.sources,
+        };
+        fused.attack(m);
+        for c in 0..self.cells.input_len() {
+            emit(c, 0, count(fused.count_happy(c)));
+        }
+        if self.deployments.len() > 1 {
+            for (j, (lane, sweep)) in self.cells.lanes().iter().zip(sweeps.iter_mut()).enumerate() {
+                let scenario = AttackScenario::attack(m, d).with_strategy(lane.strategy);
+                sweep.begin_from(
+                    scenario,
+                    lane.policy,
+                    &self.deployments[0],
+                    fused.lane_outcome(j),
+                    fused.lane_happy(j),
+                );
+            }
+            for (k, dep) in self.deployments.iter().enumerate().skip(1) {
+                for sweep in sweeps.iter_mut() {
+                    sweep.advance(dep);
+                }
+                for c in 0..self.cells.input_len() {
+                    emit(c, k, count(sweeps[self.cells.lane_of(c)].count_happy()));
+                }
+            }
         }
     }
 }
@@ -1157,7 +956,7 @@ impl<'a> CellEval for SweepCellsEval<'a> {
     type Worker = (FusedDeltaEngine<'a>, Vec<SweepEngine<'a>>);
 
     fn cell_stats(&self) -> Vec<usize> {
-        vec![self.deployments.len(); self.npolicies]
+        vec![self.deployments.len(); self.cells.input_len()]
     }
 
     fn make_worker(&self) -> Self::Worker {
@@ -1178,52 +977,26 @@ impl<'a> CellEval for SweepCellsEval<'a> {
 
     fn eval_pair(
         &self,
-        (fused, sweeps): &mut Self::Worker,
+        w: &mut Self::Worker,
         m: AsId,
         d: AsId,
         emit: &mut dyn FnMut(usize, usize, Bounds),
     ) {
-        fused.attack(m);
-        for c in 0..self.cells.input_len() {
-            emit(c, 0, self.fraction(fused.count_happy(c)));
-        }
-        if self.deployments.len() > 1 {
-            for (j, (lane, sweep)) in self.cells.lanes().iter().zip(sweeps.iter_mut()).enumerate() {
-                let scenario = AttackScenario::attack(m, d).with_strategy(lane.strategy);
-                sweep.begin_from(
-                    scenario,
-                    lane.policy,
-                    &self.deployments[0],
-                    fused.lane_outcome(j),
-                    fused.lane_happy(j),
-                );
-            }
-            for (k, dep) in self.deployments.iter().enumerate().skip(1) {
-                for sweep in sweeps.iter_mut() {
-                    sweep.advance(dep);
-                }
-                for c in 0..self.cells.input_len() {
-                    emit(
-                        c,
-                        k,
-                        self.fraction(sweeps[self.cells.lane_of(c)].count_happy()),
-                    );
-                }
-            }
-        }
+        self.eval_counts(w, m, d, |c, k, n| emit(c, k, n.fraction()));
     }
 }
 
-/// The strategy-ladder kernel behind [`estimate_strategy_ladder_cells`]:
-/// the (policy × rung) grid is one [`CellSet`], and statistic `nr` of each
-/// policy cell is the per-pair damage-maximizing rung.
+/// The strategy-ladder kernel behind [`estimate_strategy_ladder_cells`] and
+/// [`crate::strategy::metric_strategy_ladder`]: the (policy × rung) grid is
+/// one [`CellSet`], and statistic `nr` of each policy cell is the per-pair
+/// damage-maximizing rung.
 pub struct LadderCellsEval<'a> {
     net: &'a Internet,
     deployment: &'a Deployment,
     cells: CellSet,
     nr: usize,
     npolicies: usize,
-    sources: f64,
+    sources: usize,
 }
 
 impl<'a> LadderCellsEval<'a> {
@@ -1241,7 +1014,35 @@ impl<'a> LadderCellsEval<'a> {
             cells: CellSet::grid(policies, rungs),
             nr: rungs.len(),
             npolicies: policies.len(),
-            sources: (net.graph.len() - 2).max(1) as f64,
+            sources: net.graph.len() - 2,
+        }
+    }
+
+    /// Evaluate one `(m, d)` pair (after [`CellEval::begin`] on `d`),
+    /// emitting `(policy, statistic, happy count)`: statistic `r < nr` is
+    /// rung `r`, statistic `nr` the damage-maximizing rung's count — the
+    /// lexicographic `(lower, upper)` minimum. Policies come in order, and
+    /// each policy's rungs in order before its optimum.
+    pub fn eval_counts(
+        &self,
+        fused: &mut FusedDeltaEngine<'a>,
+        m: AsId,
+        mut emit: impl FnMut(usize, usize, HappyCount),
+    ) {
+        let count = |(lower, upper): (usize, usize)| HappyCount {
+            lower,
+            upper,
+            sources: self.sources,
+        };
+        fused.attack(m);
+        for p in 0..self.npolicies {
+            let mut best = (usize::MAX, usize::MAX);
+            for r in 0..self.nr {
+                let happy = fused.count_happy(p * self.nr + r);
+                emit(p, r, count(happy));
+                best = best.min(happy);
+            }
+            emit(p, self.nr, count(best));
         }
     }
 }
@@ -1268,67 +1069,18 @@ impl<'a> CellEval for LadderCellsEval<'a> {
         _d: AsId,
         emit: &mut dyn FnMut(usize, usize, Bounds),
     ) {
-        fused.attack(m);
-        for p in 0..self.npolicies {
-            let mut best = (usize::MAX, usize::MAX);
-            for r in 0..self.nr {
-                let (lower, upper) = fused.count_happy(p * self.nr + r);
-                emit(
-                    p,
-                    r,
-                    Bounds {
-                        lower: lower as f64 / self.sources,
-                        upper: upper as f64 / self.sources,
-                    },
-                );
-                best = best.min((lower, upper));
-            }
-            emit(
-                p,
-                self.nr,
-                Bounds {
-                    lower: best.0 as f64 / self.sources,
-                    upper: best.1 as f64 / self.sources,
-                },
-            );
-        }
+        self.eval_counts(fused, m, |p, k, n| emit(p, k, n.fraction()));
     }
 }
 
-/// [`estimate_metric`] for a whole set of policies at once: one fused
-/// engine per worker serves every policy cell from one snapshot traversal
-/// (and one computation per *distinct* lane — at zero validators the three
+/// Estimate `H_{M,D}(S_k)` for every deployment of a sweep and every
+/// policy at once, with one confidence interval per step. One fused engine
+/// per worker serves every policy cell from one snapshot traversal (and
+/// one computation per *distinct* lane — at zero validators the three
 /// security models collapse onto a single lane). Returns one run per input
-/// policy, each bit-identical to its solo [`estimate_metric`].
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_metric_cells(
-    net: &Internet,
-    attacker_pool: &[AsId],
-    dest_pool: &[AsId],
-    deployment: &Deployment,
-    policies: &[Policy],
-    strategy: AttackStrategy,
-    cfg: &EstimatorConfig,
-    par: Parallelism,
-) -> Vec<AdaptiveRun> {
-    estimate_metric_sweep_cells(
-        net,
-        attacker_pool,
-        dest_pool,
-        std::slice::from_ref(deployment),
-        policies,
-        strategy,
-        cfg,
-        par,
-    )
-}
-
-/// [`estimate_metric_sweep`] for a whole set of policies at once. The
-/// first step of every destination group is one fused patch serving all
-/// policy lanes; the remaining steps run one [`SweepEngine`] per lane,
-/// adopted from the lane's fused outcome — exactly the composition the
-/// solo estimator uses per policy, so each returned run is bit-identical
-/// to its solo [`estimate_metric_sweep`].
+/// policy, each bit-identical to a one-policy call. Adaptive stopping
+/// watches each run's *widest* half-width across steps, so every step
+/// meets the target.
 #[allow(clippy::too_many_arguments)]
 pub fn estimate_metric_sweep_cells(
     net: &Internet,
@@ -1348,11 +1100,28 @@ pub fn estimate_metric_sweep_cells(
     estimate_adaptive_cells_eval(&universe, cfg, &eval, par)
 }
 
-/// [`estimate_strategy_ladder`] for a whole set of policies at once: the
-/// (policy × rung) grid becomes one [`CellSet`] (rungs deduped through
-/// [`AttackStrategy::canonical`]), so every attack serves all policies'
-/// whole ladders from one shared traversal. Returns one ladder per input
-/// policy, each bit-identical to its solo [`estimate_strategy_ladder`].
+/// A strategy ladder with confidence intervals: per-rung estimates plus the
+/// per-pair damage-maximizing choice (the statistic
+/// [`crate::strategy::metric_strategy_ladder`] reports as `optimal`).
+#[derive(Clone, Debug)]
+pub struct LadderEstimate {
+    /// The evaluated rungs.
+    pub rungs: Vec<AttackStrategy>,
+    /// One estimate per rung.
+    pub per_rung: Vec<Estimate>,
+    /// The per-pair optimal-rung estimate.
+    pub optimal: Estimate,
+    /// The underlying adaptive run (trajectory, sample, population); its
+    /// statistics are the rungs, optimum last.
+    pub run: AdaptiveRun,
+}
+
+/// Estimate every rung of a strategy ladder and the per-pair optimum, with
+/// confidence intervals, under one deployment, for a whole set of policies
+/// at once: the (policy × rung) grid becomes one [`CellSet`] (rungs deduped
+/// through [`AttackStrategy::canonical`]), so every attack serves all
+/// policies' whole ladders from one shared traversal. Returns one ladder
+/// per input policy, each bit-identical to a one-policy call.
 ///
 /// # Panics
 ///
@@ -1377,14 +1146,11 @@ pub fn estimate_strategy_ladder_cells(
     let runs = estimate_adaptive_cells_eval(&universe, cfg, &eval, par);
     let nr = rungs.len();
     runs.into_iter()
-        .map(|run| {
-            let optimal = *run.estimates.last().expect("rungs is nonempty");
-            LadderEstimate {
-                rungs: rungs.to_vec(),
-                per_rung: run.estimates[..nr].to_vec(),
-                optimal,
-                run,
-            }
+        .map(|run| LadderEstimate {
+            rungs: rungs.to_vec(),
+            per_rung: run.estimates[..nr].to_vec(),
+            optimal: run.estimates[nr],
+            run,
         })
         .collect()
 }
@@ -1446,6 +1212,31 @@ mod tests {
 
     fn net() -> Internet {
         Internet::synthetic(300, 9)
+    }
+
+    /// A one-policy fake-link sweep estimate.
+    #[allow(clippy::too_many_arguments)]
+    fn solo_sweep(
+        net: &Internet,
+        attackers: &[AsId],
+        dests: &[AsId],
+        deployments: &[Deployment],
+        policy: Policy,
+        cfg: &EstimatorConfig,
+        par: Parallelism,
+    ) -> AdaptiveRun {
+        let fake_link = AttackStrategy::FakeLink;
+        estimate_metric_sweep_cells(
+            net,
+            attackers,
+            dests,
+            deployments,
+            &[policy],
+            fake_link,
+            cfg,
+            par,
+        )
+        .swap_remove(0)
     }
 
     #[test]
@@ -1544,13 +1335,12 @@ mod tests {
         let dests: Vec<AsId> = net.graph.ases().collect();
         let cfg = EstimatorConfig::with_budget(100, 3);
         // Empty attacker pool: an empty run.
-        let r = estimate_metric(
+        let r = solo_sweep(
             &net,
             &[],
             &dests,
-            &Deployment::empty(net.len()),
+            &[Deployment::empty(net.len())],
             Policy::new(SecurityModel::Security2nd),
-            AttackStrategy::FakeLink,
             &cfg,
             Parallelism(1),
         );
@@ -1558,13 +1348,12 @@ mod tests {
         assert!(r.sampled.is_empty());
         assert_eq!(r.estimates.len(), 1);
         // Empty deployment list: no statistics.
-        let r = estimate_metric_sweep(
+        let r = solo_sweep(
             &net,
             &dests,
             &dests,
             &[],
             Policy::new(SecurityModel::Security2nd),
-            AttackStrategy::FakeLink,
             &cfg,
             Parallelism(1),
         );
@@ -1578,13 +1367,12 @@ mod tests {
         let attackers = net.tiers.non_stubs();
         let dests: Vec<AsId> = net.graph.ases().collect();
         let cfg = EstimatorConfig::with_budget(500, 11);
-        let r = estimate_metric(
+        let r = solo_sweep(
             &net,
             &attackers,
             &dests,
-            &Deployment::empty(net.len()),
+            &[Deployment::empty(net.len())],
             Policy::new(SecurityModel::Security3rd),
-            AttackStrategy::FakeLink,
             &cfg,
             Parallelism(2),
         );
@@ -1607,16 +1395,17 @@ mod tests {
         let attackers = sample::sample_non_stubs(&net, 20, 5);
         let dests = sample::sample_all(&net, 40, 6);
         let cfg = EstimatorConfig::with_budget(300, 13);
-        let r = estimate_strategy_ladder(
+        let r = estimate_strategy_ladder_cells(
             &net,
             &attackers,
             &dests,
             &Deployment::empty(net.len()),
-            Policy::new(SecurityModel::Security2nd),
+            &[Policy::new(SecurityModel::Security2nd)],
             &AttackStrategy::LADDER,
             &cfg,
             Parallelism(2),
-        );
+        )
+        .swap_remove(0);
         assert_eq!(r.per_rung.len(), AttackStrategy::LADDER.len());
         // The underlying run keeps every statistic (per rung + optimal),
         // so its trajectory and max half-width stay meaningful.
@@ -1664,13 +1453,12 @@ mod tests {
         );
         assert_eq!(fused.len(), policies.len());
         for (i, &policy) in policies.iter().enumerate() {
-            let solo = estimate_metric_sweep(
+            let solo = solo_sweep(
                 &net,
                 &attackers,
                 &dests,
                 &deps,
                 policy,
-                AttackStrategy::FakeLink,
                 &cfg,
                 Parallelism(2),
             );
@@ -1678,8 +1466,8 @@ mod tests {
         }
         // Budget-only single-deployment form, at a different thread count.
         let cfg = EstimatorConfig::with_budget(300, 5);
-        let dep = Deployment::empty(net.len());
-        let fused = estimate_metric_cells(
+        let dep = [Deployment::empty(net.len())];
+        let fused = estimate_metric_sweep_cells(
             &net,
             &attackers,
             &dests,
@@ -1690,16 +1478,7 @@ mod tests {
             Parallelism(1),
         );
         for (i, &policy) in policies.iter().enumerate() {
-            let solo = estimate_metric(
-                &net,
-                &attackers,
-                &dests,
-                &dep,
-                policy,
-                AttackStrategy::FakeLink,
-                &cfg,
-                Parallelism(2),
-            );
+            let solo = solo_sweep(&net, &attackers, &dests, &dep, policy, &cfg, Parallelism(2));
             assert_runs_identical(&fused[i], &solo, &format!("{:?}", policy.model));
         }
     }
@@ -1724,16 +1503,17 @@ mod tests {
         );
         assert_eq!(fused.len(), policies.len());
         for (i, &policy) in policies.iter().enumerate() {
-            let solo = estimate_strategy_ladder(
+            let solo = estimate_strategy_ladder_cells(
                 &net,
                 &attackers,
                 &dests,
                 &dep,
-                policy,
+                &[policy],
                 &AttackStrategy::LADDER,
                 &cfg,
                 Parallelism(2),
-            );
+            )
+            .swap_remove(0);
             assert_eq!(fused[i].rungs, solo.rungs);
             assert_eq!(fused[i].per_rung, solo.per_rung, "{:?}", policy.model);
             assert_eq!(fused[i].optimal, solo.optimal, "{:?}", policy.model);
@@ -1747,11 +1527,11 @@ mod tests {
         let dests: Vec<AsId> = net.graph.ases().collect();
         let cfg = EstimatorConfig::with_budget(100, 3);
         // No policies: no runs.
-        let r = estimate_metric_cells(
+        let r = estimate_metric_sweep_cells(
             &net,
             &dests,
             &dests,
-            &Deployment::empty(net.len()),
+            &[Deployment::empty(net.len())],
             &[],
             AttackStrategy::FakeLink,
             &cfg,

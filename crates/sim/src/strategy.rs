@@ -16,25 +16,27 @@
 //!   compare the metric under simultaneous announcement against the
 //!   strongest single member, exposing the *collusion dividend*.
 //!
-//! Both run destination-major and reduce in chunk order, so results are
-//! bit-identical at any thread count. The ladder rides one
-//! [`sbgp_core::FusedDeltaEngine`] per worker: the rungs form a
-//! [`CellSet`] deduped through [`AttackStrategy::canonical`] (so the
-//! `path1`/fake-link and `path0`/hijack spellings can never run the same
-//! cell twice), every attack serves all remaining rungs from one shared
+//! Both run destination-major through the crate's one reduction
+//! ([`crate::runner::map_reduce`]), so results are bit-identical at any
+//! thread count. The ladder folds the integer happy counts of the shared
+//! ladder kernel, [`LadderCellsEval`] (the same kernel behind the
+//! estimated ladder): the (policy × rung) grid is one
+//! [`sbgp_core::CellSet`] deduped
+//! through [`AttackStrategy::canonical`] (so the `path1`/fake-link and
+//! `path0`/hijack spellings can never run the same cell twice), every
+//! attack serves all policies' whole ladders from one shared
 //! contested-region traversal, and duplicate rungs report their shared
 //! lane's value — with ties still going to the earlier input rung, win
 //! attribution is unchanged. [`metric_collusion`] keeps a plain
-//! [`AttackDeltaEngine`] (one cell per call).
+//! [`AttackDeltaEngine`] (one cell per call, and the set-aware source
+//! count).
 
 use sbgp_core::metric::MetricAccumulator;
-use sbgp_core::{
-    AttackDeltaEngine, AttackStrategy, Bounds, CellSet, Deployment, FusedDeltaEngine, HappyCount,
-    Policy,
-};
+use sbgp_core::{AttackDeltaEngine, AttackStrategy, Bounds, Deployment, HappyCount, Policy};
 use sbgp_topology::AsId;
 
-use crate::runner::{map_reduce_grouped, Parallelism};
+use crate::runner::{map_reduce, Parallelism};
+use crate::stats::{CellEval, LadderCellsEval};
 use crate::{sample, Internet};
 
 /// Ladder evaluation over a pair sample (see [`metric_strategy_ladder`]).
@@ -54,15 +56,17 @@ pub struct LadderResult {
     pub pairs: usize,
 }
 
-/// Per-chunk ladder accumulator (merged in chunk order).
+/// Per-group ladder accumulator of one policy (merged in group order).
+#[derive(Clone)]
 struct LadderAcc {
     per_rung: Vec<MetricAccumulator>,
     optimal: MetricAccumulator,
     wins: Vec<usize>,
 }
 
-/// Evaluate `rungs` for every `(m, d)` pair under one deployment: the
-/// per-rung metrics, the per-pair optimal metric, and the win counts.
+/// Evaluate `rungs` for every `(m, d)` pair under one deployment, for every
+/// policy of `policies`: the per-rung metrics, the per-pair optimal metric,
+/// and the win counts, one [`LadderResult`] per input policy.
 ///
 /// # Panics
 ///
@@ -71,75 +75,72 @@ pub fn metric_strategy_ladder(
     net: &Internet,
     pairs: &[(AsId, AsId)],
     deployment: &Deployment,
-    policy: Policy,
+    policies: &[Policy],
     rungs: &[AttackStrategy],
     par: Parallelism,
-) -> LadderResult {
+) -> Vec<LadderResult> {
     assert!(
         !rungs.is_empty(),
         "the strategy ladder needs at least one rung"
     );
-    // Input cell r of the grid is exactly rung r; canonical dedup makes
-    // duplicate spellings share a lane (evaluated once, reported per
-    // input rung).
-    let cells = CellSet::grid(&[policy], rungs);
+    let nr = rungs.len();
+    let eval = LadderCellsEval::new(net, deployment, policies, rungs);
     let groups = sample::group_by_destination(pairs);
-    let sources = net.graph.len() - 2;
-    let acc = map_reduce_grouped(
+    let empty = LadderAcc {
+        per_rung: vec![MetricAccumulator::default(); nr],
+        optimal: MetricAccumulator::default(),
+        wins: vec![0; nr],
+    };
+    let accs = map_reduce(
         par,
         &groups,
-        || FusedDeltaEngine::new(&net.graph, cells.clone()),
-        || LadderAcc {
-            per_rung: vec![MetricAccumulator::default(); rungs.len()],
-            optimal: MetricAccumulator::default(),
-            wins: vec![0; rungs.len()],
-        },
+        || eval.make_worker(),
+        || vec![empty.clone(); policies.len()],
         |fused, acc, (d, attackers)| {
-            fused.begin(*d, deployment);
+            eval.begin(fused, *d);
             for &m in attackers {
                 if m == *d {
                     continue;
                 }
-                fused.attack(m);
-                let mut best = (usize::MAX, usize::MAX);
-                let mut best_rung = 0usize;
-                for r in 0..rungs.len() {
-                    let (lower, upper) = fused.count_happy(r);
-                    acc.per_rung[r].add(HappyCount {
-                        lower,
-                        upper,
-                        sources,
-                    });
-                    if (lower, upper) < best {
-                        best = (lower, upper);
-                        best_rung = r;
+                // Each policy's rungs arrive in order, then its optimum:
+                // the winner is the first rung reaching the minimum.
+                let mut best = (usize::MAX, usize::MAX, 0);
+                eval.eval_counts(fused, m, |p, r, count| {
+                    if r < nr {
+                        acc[p].per_rung[r].add(count);
+                        if (count.lower, count.upper) < (best.0, best.1) {
+                            best = (count.lower, count.upper, r);
+                        }
+                    } else {
+                        acc[p].optimal.add(count);
+                        acc[p].wins[best.2] += 1;
+                        best = (usize::MAX, usize::MAX, 0);
                     }
-                }
-                acc.wins[best_rung] += 1;
-                acc.optimal.add(HappyCount {
-                    lower: best.0,
-                    upper: best.1,
-                    sources,
                 });
             }
         },
         |a, b| {
-            for (x, y) in a.per_rung.iter_mut().zip(b.per_rung) {
-                x.merge(y);
-            }
-            a.optimal.merge(b.optimal);
-            for (x, y) in a.wins.iter_mut().zip(b.wins) {
-                *x += y;
+            for (a, b) in a.iter_mut().zip(b) {
+                for (x, y) in a.per_rung.iter_mut().zip(b.per_rung) {
+                    x.merge(y);
+                }
+                a.optimal.merge(b.optimal);
+                for (x, y) in a.wins.iter_mut().zip(b.wins) {
+                    *x += y;
+                }
             }
         },
-    );
-    LadderResult {
-        rungs: rungs.to_vec(),
-        per_rung: acc.per_rung.iter().map(|a| a.value()).collect(),
-        optimal: acc.optimal.value(),
-        wins: acc.wins,
-        pairs: acc.optimal.pairs(),
-    }
+    )
+    .unwrap();
+    accs.into_iter()
+        .map(|acc| LadderResult {
+            rungs: rungs.to_vec(),
+            per_rung: acc.per_rung.iter().map(|a| a.value()).collect(),
+            optimal: acc.optimal.value(),
+            wins: acc.wins,
+            pairs: acc.optimal.pairs(),
+        })
+        .collect()
 }
 
 /// Collusion evaluation over announcer sets (see [`metric_collusion`]).
@@ -172,7 +173,7 @@ pub fn metric_collusion(
     par: Parallelism,
 ) -> CollusionResult {
     let n = net.graph.len();
-    let acc = map_reduce_grouped(
+    let acc = map_reduce(
         par,
         destinations,
         || AttackDeltaEngine::new(&net.graph),
@@ -220,7 +221,8 @@ pub fn metric_collusion(
             a.1.merge(b.1);
             a.2.merge(b.2);
         },
-    );
+    )
+    .unwrap();
     CollusionResult {
         cells: acc.0.pairs(),
         colluding: acc.0.value(),
@@ -232,7 +234,7 @@ pub fn metric_collusion(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbgp_core::{Engine, SecurityModel};
+    use sbgp_core::{CellSet, Engine, SecurityModel};
 
     fn net() -> Internet {
         Internet::synthetic(600, 5)
@@ -245,15 +247,16 @@ mod tests {
         let dests = sample::sample_all(&net, 6, 2);
         let pairs = sample::pairs(&attackers, &dests);
         let dep = Deployment::empty(net.len());
-        for model in SecurityModel::ALL {
-            let r = metric_strategy_ladder(
-                &net,
-                &pairs,
-                &dep,
-                Policy::new(model),
-                &AttackStrategy::LADDER,
-                Parallelism(2),
-            );
+        let policies = SecurityModel::ALL.map(Policy::new);
+        let ladders = metric_strategy_ladder(
+            &net,
+            &pairs,
+            &dep,
+            &policies,
+            &AttackStrategy::LADDER,
+            Parallelism(2),
+        );
+        for (r, model) in ladders.iter().zip(SecurityModel::ALL) {
             assert_eq!(r.pairs, pairs.len());
             assert_eq!(r.wins.iter().sum::<usize>(), r.pairs, "{model}");
             // The optimal choice is at least as damaging as every fixed
@@ -278,24 +281,24 @@ mod tests {
         let pairs = sample::pairs(&attackers, &dests);
         let dep = Deployment::empty(net.len());
         let policy = Policy::new(SecurityModel::Security3rd);
-        let r = metric_strategy_ladder(
+        let r = &metric_strategy_ladder(
             &net,
             &pairs,
             &dep,
-            policy,
+            &[policy],
             &AttackStrategy::LADDER,
             Parallelism(2),
-        );
+        )[0];
         for (k, &rung) in r.rungs.iter().enumerate() {
-            let fixed = crate::runner::metric_with_strategy(
+            let cells = CellSet::per_policy(&[policy], rung);
+            let (fixed, _) = crate::sweep::metric(
                 &net,
                 &pairs,
-                &dep,
-                policy,
-                rung,
+                std::slice::from_ref(&dep),
+                &cells,
                 Parallelism(2),
             );
-            assert_eq!(r.per_rung[k], fixed, "rung {k}");
+            assert_eq!(r.per_rung[k], fixed[0][0].value(), "rung {k}");
         }
     }
 

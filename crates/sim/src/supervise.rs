@@ -20,16 +20,18 @@
 //! campaign's final JSON lists the affected cells under `"degraded"`, and
 //! the grid still validates.
 //!
-//! **Bit-identity.** [`estimate_adaptive_supervised`] mirrors
-//! [`crate::stats::estimate_adaptive_cells`] exactly: workers evaluate a
-//! destination group through the same [`CellEval`] kernel and stream back
-//! raw per-stratum Welford triples (floats as `to_bits`, so the wire
-//! round trip is exact); the coordinator merges group accumulators **in
-//! group order** into the round state and round state into persistent
-//! state in round order — the same Chan-merge sequence the in-process
-//! chunk-ordered reduction performs. An N-worker run therefore produces
-//! the same bytes as the single-process run, for any N (pinned by
-//! `tests/campaign.rs`).
+//! **Bit-identity.** [`estimate_adaptive_supervised`] is the supervised
+//! backend of the one adaptive round loop in [`crate::stats`]; the loop
+//! (schedule, merge, lost groups, per-cell freeze) is shared with the
+//! in-process [`crate::stats::estimate_adaptive_cells_eval`], and only the
+//! evaluation of a round's destination groups differs. Workers evaluate a
+//! group through the same [`CellEval`] kernel and stream back raw
+//! per-stratum Welford triples (floats as `to_bits`, so the wire round
+//! trip is exact); the coordinator folds the group accumulators from empty
+//! **in group order** into the round state, exactly as the in-process
+//! reduction does, and the loop merges the round into the persistent
+//! state. An N-worker run therefore produces the same bits as the
+//! single-process run, for any N (pinned by `tests/campaign.rs`).
 //!
 //! Checkpoint integrity rides along: [`content_checksum`] /
 //! [`verify_checksum`] give per-cell JSON files an FNV-1a content
@@ -42,13 +44,11 @@ use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
-use sbgp_core::Bounds;
 use sbgp_topology::AsId;
 
 use crate::faultpoint;
 use crate::stats::{
-    group_tagged_by_destination, recombine, AdaptiveRun, CellEval, Estimate, EstimatorConfig,
-    PairUniverse, RoundTrace, StratifiedSampler, StratumStats, Welford,
+    self, AdaptiveRun, CellEval, CellStats, EstimatorConfig, PairUniverse, StratumStats, Welford,
 };
 
 // ---------------------------------------------------------------------------
@@ -278,7 +278,7 @@ pub fn parse_worker_msg(text: &str) -> Result<WorkerMsg, String> {
 /// the accumulator data in wire layout: for each cell `c`, statistic `k`,
 /// stratum `h`, the six `u64`s `(n, mean, m2)` of the lower then the upper
 /// Welford accumulator (floats as `to_bits`). This is byte-for-byte the
-/// chunk accumulator the in-process reduction would have produced for the
+/// group accumulator the in-process reduction would have produced for the
 /// same group, which is the whole bit-identity argument.
 pub fn eval_task_data<E: CellEval>(
     eval: &E,
@@ -288,16 +288,8 @@ pub fn eval_task_data<E: CellEval>(
     attackers: &[(AsId, usize)],
 ) -> Vec<u64> {
     let cell_stats = eval.cell_stats();
-    let mut acc: Vec<Vec<Vec<StratumStats>>> = cell_stats
-        .iter()
-        .map(|&k| vec![vec![StratumStats::default(); nstrata]; k])
-        .collect();
-    eval.begin(w, dest);
-    for &(m, h) in attackers {
-        eval.eval_pair(w, m, dest, &mut |c, k, b: Bounds| {
-            acc[c][k][h].push(b);
-        });
-    }
+    let mut acc = stats::empty_cell_stats(&cell_stats, nstrata);
+    stats::eval_group(eval, w, &mut acc, dest, attackers);
     let mut data = Vec::with_capacity(data_len(&cell_stats, nstrata));
     for cell in &acc {
         for stats in cell {
@@ -319,11 +311,7 @@ pub fn data_len(cell_stats: &[usize], nstrata: usize) -> usize {
     cell_stats.iter().sum::<usize>() * nstrata * 6
 }
 
-fn decode_result_data(
-    data: &[u64],
-    cell_stats: &[usize],
-    nstrata: usize,
-) -> Vec<Vec<Vec<StratumStats>>> {
+fn decode_result_data(data: &[u64], cell_stats: &[usize], nstrata: usize) -> CellStats {
     let mut it = data.iter().copied();
     cell_stats
         .iter()
@@ -878,10 +866,11 @@ impl Drop for Supervisor {
 // The distributed adaptive estimator
 // ---------------------------------------------------------------------------
 
-/// [`crate::stats::estimate_adaptive_cells`] over a [`Supervisor`]'s
-/// worker pool: same universe, same seeded round schedule, same Chan-merge
-/// order — bit-identical to the in-process estimator for any worker
-/// count. Degraded groups surface as [`AdaptiveRun::lost_groups`] /
+/// The adaptive estimator with each round's destination groups evaluated
+/// by a [`Supervisor`]'s worker pool: same universe, same seeded round
+/// schedule, same group-order fold — bit-identical to
+/// [`crate::stats::estimate_adaptive_cells_eval`] for any worker count.
+/// Degraded groups surface as [`AdaptiveRun::lost_groups`] /
 /// [`AdaptiveRun::lost_pairs`] on every cell still active that round.
 pub fn estimate_adaptive_supervised(
     universe: &PairUniverse,
@@ -891,103 +880,21 @@ pub fn estimate_adaptive_supervised(
     sup: &mut Supervisor,
 ) -> Vec<AdaptiveRun> {
     let nstrata = universe.strata().len();
-    let budget = cfg.budget.min(universe.population());
-    let mut runs: Vec<AdaptiveRun> = cell_stats
-        .iter()
-        .map(|&k| AdaptiveRun {
-            estimates: vec![Estimate::default(); k],
-            rounds: Vec::new(),
-            sampled: Vec::new(),
-            population: universe.population(),
-            strata: nstrata,
-            lost_groups: 0,
-            lost_pairs: 0,
-        })
-        .collect();
-    let mut active: Vec<bool> = cell_stats.iter().map(|&k| k > 0 && budget > 0).collect();
-    if !active.iter().any(|&a| a) {
-        return runs;
-    }
-    let sampler = StratifiedSampler::new(universe, cfg.seed);
-    let initial = if cfg.initial == 0 {
-        (2 * nstrata as u64).max(64)
-    } else {
-        cfg.initial
-    };
-    let mut counts = vec![0u64; nstrata];
-    let mut persistent: Vec<Vec<Vec<StratumStats>>> = cell_stats
-        .iter()
-        .map(|&k| vec![vec![StratumStats::default(); nstrata]; k])
-        .collect();
-    let mut target = initial.min(budget);
-    loop {
-        let prev = counts.clone();
-        universe.allocate_into(&mut counts, target);
-        let incr = sampler.increment(&prev, &counts);
-        let groups = group_tagged_by_destination(&incr);
-        let outcomes = sup.run_batch(init, cell_stats, nstrata, &groups);
-
-        // Merge group accumulators in group (= task) order — exactly the
-        // chunk-order merge of the in-process reduction — skipping
-        // already-stopped cells (whose in-process accumulators would have
-        // been empty).
-        let mut poisoned: Vec<usize> = Vec::new();
-        for (g, outcome) in outcomes.iter().enumerate() {
+    stats::run_rounds(universe, cfg, cell_stats, |groups| {
+        let mut round = stats::empty_cell_stats(cell_stats, nstrata);
+        let mut lost = Vec::new();
+        let outcomes = sup.run_batch(init, cell_stats, nstrata, groups);
+        for (g, outcome) in outcomes.into_iter().enumerate() {
             match outcome {
-                TaskOutcome::Done(data) => {
-                    let decoded = decode_result_data(data, cell_stats, nstrata);
-                    for (c, cell) in decoded.into_iter().enumerate() {
-                        if !active[c] {
-                            continue;
-                        }
-                        for (xs, ys) in persistent[c].iter_mut().zip(cell) {
-                            for (x, y) in xs.iter_mut().zip(ys) {
-                                x.merge(y);
-                            }
-                        }
-                    }
-                }
-                TaskOutcome::Degraded { .. } => poisoned.push(g),
+                TaskOutcome::Done(data) => stats::merge_cell_stats(
+                    &mut round,
+                    decode_result_data(&data, cell_stats, nstrata),
+                ),
+                TaskOutcome::Degraded { .. } => lost.push(g),
             }
         }
-
-        let lost: HashSet<AsId> = poisoned.iter().map(|&g| groups[g].0).collect();
-        let lost_pairs: u64 = poisoned.iter().map(|&g| groups[g].1.len() as u64).sum();
-        let total: u64 = counts.iter().sum();
-        for (c, run) in runs.iter_mut().enumerate() {
-            if !active[c] {
-                continue;
-            }
-            if lost.is_empty() {
-                run.sampled
-                    .extend(incr.iter().map(|p| (p.attacker, p.dest)));
-            } else {
-                run.sampled.extend(
-                    incr.iter()
-                        .filter(|p| !lost.contains(&p.dest))
-                        .map(|p| (p.attacker, p.dest)),
-                );
-                run.lost_groups += poisoned.len() as u64;
-                run.lost_pairs += lost_pairs;
-            }
-            run.estimates = persistent[c]
-                .iter()
-                .map(|stats| recombine(universe, stats, cfg.z))
-                .collect();
-            run.rounds.push(RoundTrace {
-                pairs: total,
-                max_halfwidth: run.max_halfwidth(),
-            });
-            let ci_met = cfg.ci_target.is_some_and(|t| run.max_halfwidth() <= t);
-            if ci_met || total >= budget {
-                active[c] = false;
-            }
-        }
-        if !active.iter().any(|&a| a) {
-            return runs;
-        }
-        target = (total * 2).min(budget);
-    }
+        (round, lost)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1049,6 +956,7 @@ pub fn verify_checksum(text: &str) -> ChecksumStatus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sbgp_core::Bounds;
 
     #[test]
     fn frames_round_trip() {

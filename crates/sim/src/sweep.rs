@@ -1,377 +1,171 @@
-//! Deployment-sweep runners: evaluate the metric along a *sequence* of
-//! deployments with **both amortization axes composed**, destination-major.
+//! The explicit-pair metric drivers: `H_{M,D}(S_k)` over a caller-chosen
+//! pair sample (or attacker × destination grid), for every policy cell of a
+//! [`CellSet`] along a sequence of deployments. A one-deployment call is
+//! the plain metric `H_{M,D}(S)`; the figure drivers use nothing else.
 //!
-//! For every claimed destination group a worker computes the
+//! Both drivers evaluate destination-major through the crate's one
+//! per-pair kernel, [`SweepCellsEval`], so **both amortization axes
+//! compose**. For every claimed destination a worker fixes the
 //! normal-conditions outcome of the first deployment once, then iterates
-//! `for m (contested-region patch of the first step) → for S_k (monotone
-//! sweep of the remaining steps)`:
+//! `for m (one fused attack serving every lane's first step) → for S_k
+//! (each lane's sweep along the remaining steps)`:
 //!
-//! * the [`AttackDeltaEngine`] serves each pair's **first step** from the
-//!   destination's shared normal outcome (or falls back to a fresh compute
-//!   when the contested region is large — measured on the synthetic
-//!   4000-AS graph, a fake-link attack changes ~40% of all ASes once the
-//!   downstream flag contamination is counted, so large regions are
-//!   common at small `S`);
-//! * [`SweepEngine::begin_from`] adopts that outcome, and the remaining
-//!   steps ride the deployment axis, whose dirty regions are tiny (~4% of
-//!   AS-steps) because the bogus announcement's spread is *shared* between
-//!   consecutive steps instead of being re-patched per step.
+//! * the [`sbgp_core::FusedDeltaEngine`] serves each pair's **first step**
+//!   from the destination's shared normal outcome, patching the contested
+//!   region or falling back to a fresh compute when the region is large;
+//! * a per-lane [`sbgp_core::SweepEngine`] adopts that outcome, and the
+//!   remaining steps ride the deployment axis, whose dirty regions are
+//!   tiny (~4% of AS-steps) because the bogus announcement's spread is
+//!   *shared* between consecutive steps instead of being re-patched per
+//!   step.
 //!
 //! This ordering keeps the cheaper axis innermost; the transposed
 //! `for S_k → for m` order would re-patch the attacker's whole contested
 //! region into every step. Sequences may churn in any direction — grow,
 //! shrink, or both per step — and still ride the deployment axis
 //! incrementally; only a dirty-region blow-up falls back to a full
-//! recomputation, and [`metric_churn`] surfaces the merged
-//! [`SweepStats`] (fallback rate, refixed fraction, step directions) so
-//! that cost is observable instead of silent.
+//! recomputation, and both drivers return the merged [`SweepStats`]
+//! (fallback rate, refixed fraction, step directions) so that cost is
+//! observable instead of silent.
 //!
-//! Results are identical, bit for bit, to evaluating every step with
-//! [`crate::runner::metric`] / [`crate::runner::metric_by_destination`]
-//! (the sweep- and delta-equivalence property suites enforce the
-//! per-outcome version of this claim).
+//! Every `(cell, step)` result is bit-identical to a fresh computation of
+//! that cell at that step folded in the same order: the per-outcome
+//! version of this claim is pinned by the sweep-, fused- and
+//! delta-equivalence property suites, and the fold order is fixed by
+//! [`crate::runner::map_reduce`].
 
 use sbgp_core::metric::MetricAccumulator;
-use sbgp_core::{
-    AttackDeltaEngine, AttackScenario, AttackStrategy, Bounds, CellSet, Deployment,
-    FusedDeltaEngine, HappyCount, Policy, SweepEngine, SweepStats,
-};
+use sbgp_core::{CellSet, Deployment, HappyCount, SweepEngine, SweepStats};
 use sbgp_topology::AsId;
 
-use crate::runner::{map_reduce_commutative_grouped, map_reduce_grouped, Parallelism};
+use crate::runner::{map_reduce, Parallelism};
+use crate::stats::{CellEval, SweepCellsEval};
 use crate::{sample, Internet};
 
-/// One destination group's inner loop: serve `(m, d)` under every
-/// deployment of the sweep, reporting `(step, happy)` to `record`. The
-/// attackers all announce `strategy`.
-#[allow(clippy::too_many_arguments)]
-fn sweep_pairs_for_destination(
-    sweep: &mut SweepEngine<'_>,
-    delta: &mut AttackDeltaEngine<'_>,
+/// Serve one destination: anchor the kernel on `d`, run every attacker
+/// `m ≠ d` through it (self-attacks are outside the paper's metric), and
+/// add the lanes' sweep-counter deltas to `stats`.
+fn serve_destination<'a>(
+    eval: &SweepCellsEval<'a>,
+    w: &mut <SweepCellsEval<'a> as CellEval>::Worker,
+    stats: &mut SweepStats,
     d: AsId,
     attackers: &[AsId],
-    deployments: &[Deployment],
-    policy: Policy,
-    strategy: AttackStrategy,
-    mut record: impl FnMut(usize, (usize, usize)),
+    mut record: impl FnMut(usize, usize, HappyCount),
 ) {
-    let Some(first) = deployments.first() else {
-        return;
-    };
-    delta.begin(d, first, policy);
+    let before: Vec<SweepStats> = w.1.iter().map(SweepEngine::stats).collect();
+    eval.begin(w, d);
     for &m in attackers {
-        if m == d {
-            continue;
+        if m != d {
+            eval.eval_counts(w, m, d, &mut record);
         }
-        delta.attack(m, strategy);
-        let happy = delta.count_happy();
-        let outcome = delta.last_outcome();
-        record(0, happy);
-        if deployments.len() > 1 {
-            let scenario = AttackScenario::attack(m, d).with_strategy(strategy);
-            sweep.begin_from(scenario, policy, first, outcome, happy);
-            for (k, dep) in deployments.iter().enumerate().skip(1) {
-                sweep.advance(dep);
-                record(k, sweep.count_happy());
-            }
-        }
+    }
+    for (sweep, before) in w.1.iter().zip(&before) {
+        stats.merge(&sweep.stats().delta_since(before));
     }
 }
 
-/// The metric `H_{M,D}(S_k)` for every deployment `S_k` of a sweep, over
-/// explicit pairs, with every attacker announcing `strategy`. Returned in
-/// `deployments` order.
-pub fn metric_sweep(
-    net: &Internet,
-    pairs: &[(AsId, AsId)],
-    deployments: &[Deployment],
-    policy: Policy,
-    strategy: AttackStrategy,
-    par: Parallelism,
-) -> Vec<Bounds> {
-    let groups = sample::group_by_destination(pairs);
-    let sources = net.graph.len() - 2;
-    let accs = map_reduce_grouped(
-        par,
-        &groups,
-        || {
-            (
-                SweepEngine::new(&net.graph),
-                AttackDeltaEngine::new(&net.graph),
-            )
-        },
-        || vec![MetricAccumulator::default(); deployments.len()],
-        |(sweep, delta), acc, (d, attackers)| {
-            sweep_pairs_for_destination(
-                sweep,
-                delta,
-                *d,
-                attackers,
-                deployments,
-                policy,
-                strategy,
-                |k, (lower, upper)| {
-                    acc[k].add(HappyCount {
-                        lower,
-                        upper,
-                        sources,
-                    });
-                },
-            );
-        },
-        |a, b| {
-            for (x, y) in a.iter_mut().zip(b) {
-                x.merge(y);
-            }
-        },
-    );
-    accs.into_iter().map(|a| a.value()).collect()
-}
-
-/// [`metric_sweep`] over a **churn trajectory** — deployments that grow,
-/// shrink, or flip members in both directions between steps — returning the
-/// per-step metric *and* the merged [`SweepStats`] of every worker engine,
-/// so fallback rate and refixed fraction are observable per run.
+/// `H_{M,D}(S_k)` over explicit pairs for every input cell `c` of `cells`
+/// and every deployment `S_k`: `accs[c][k]` (read
+/// [`MetricAccumulator::value`] and [`MetricAccumulator::stderr`]), plus
+/// the merged [`SweepStats`] of every lane's sweep engine.
 ///
-/// Results are bit-identical to [`metric_sweep`] on the same inputs (the
-/// metric path is shared); the stats are sums of per-destination-group
-/// counter deltas, so they too are identical at any [`Parallelism`] and
-/// chunk order.
-pub fn metric_churn(
-    net: &Internet,
-    pairs: &[(AsId, AsId)],
-    deployments: &[Deployment],
-    policy: Policy,
-    strategy: AttackStrategy,
-    par: Parallelism,
-) -> (Vec<Bounds>, SweepStats) {
-    let groups = sample::group_by_destination(pairs);
-    let sources = net.graph.len() - 2;
-    let (accs, stats) = map_reduce_grouped(
-        par,
-        &groups,
-        || {
-            (
-                SweepEngine::new(&net.graph),
-                AttackDeltaEngine::new(&net.graph),
-            )
-        },
-        || {
-            (
-                vec![MetricAccumulator::default(); deployments.len()],
-                SweepStats::default(),
-            )
-        },
-        |(sweep, delta), (acc, stats), (d, attackers)| {
-            let before = sweep.stats();
-            sweep_pairs_for_destination(
-                sweep,
-                delta,
-                *d,
-                attackers,
-                deployments,
-                policy,
-                strategy,
-                |k, (lower, upper)| {
-                    acc[k].add(HappyCount {
-                        lower,
-                        upper,
-                        sources,
-                    });
-                },
-            );
-            stats.merge(&sweep.stats().delta_since(&before));
-        },
-        |(a, s), (b, t)| {
-            for (x, y) in a.iter_mut().zip(b) {
-                x.merge(y);
-            }
-            s.merge(&t);
-        },
-    );
-    (accs.into_iter().map(|a| a.value()).collect(), stats)
-}
-
-/// The swept metric for **every policy cell** of a [`CellSet`] at once:
-/// `result[i][k]` is input cell `i` under `deployments[k]`. The first
-/// step of every `(m, d)` pair is served by one [`FusedDeltaEngine`]
-/// (all cells share the contested-region discovery and, at
-/// validator-free steps, whole computations), and each *lane* then rides
-/// its own [`SweepEngine`] along the remaining steps.
-///
-/// Each cell's row is bit-identical to [`metric_sweep`] for that
-/// `(policy, strategy)` alone: per-cell outcomes are identical, and the
-/// per-cell accumulators fold the same fractions in the same
-/// (group, attacker, step) order.
-pub fn metric_sweep_cells(
+/// Pairs are grouped by destination ([`sample::group_by_destination`]);
+/// each group folds its pairs in `(attacker, step)` order and groups merge
+/// in group order, so the accumulators are bit-identical at any
+/// [`Parallelism`], and so are the stats (sums of per-group counter
+/// deltas). A cell's column does not depend on the other cells it shares
+/// the pass with.
+pub fn metric(
     net: &Internet,
     pairs: &[(AsId, AsId)],
     deployments: &[Deployment],
     cells: &CellSet,
     par: Parallelism,
-) -> Vec<Vec<Bounds>> {
+) -> (Vec<Vec<MetricAccumulator>>, SweepStats) {
     if deployments.is_empty() {
-        return vec![Vec::new(); cells.input_len()];
+        return (vec![Vec::new(); cells.input_len()], SweepStats::default());
     }
+    let eval = SweepCellsEval::with_cells(net, deployments, cells.clone());
     let groups = sample::group_by_destination(pairs);
-    let sources = net.graph.len() - 2;
-    let accs = map_reduce_grouped(
+    map_reduce(
         par,
         &groups,
+        || eval.make_worker(),
         || {
-            let sweeps: Vec<SweepEngine<'_>> = (0..cells.lane_count())
-                .map(|_| SweepEngine::new(&net.graph))
-                .collect();
-            (FusedDeltaEngine::new(&net.graph, cells.clone()), sweeps)
+            (
+                vec![vec![MetricAccumulator::default(); deployments.len()]; cells.input_len()],
+                SweepStats::default(),
+            )
         },
-        || vec![vec![MetricAccumulator::default(); deployments.len()]; cells.input_len()],
-        |(fused, sweeps), acc, (d, attackers)| {
-            let first = &deployments[0];
-            fused.begin(*d, first);
-            for &m in attackers {
-                if m == *d {
-                    continue;
-                }
-                fused.attack(m);
-                for (i, row) in acc.iter_mut().enumerate() {
-                    let (lower, upper) = fused.count_happy(i);
-                    row[0].add(HappyCount {
-                        lower,
-                        upper,
-                        sources,
-                    });
-                }
-                if deployments.len() > 1 {
-                    for (j, cell) in cells.lanes().iter().enumerate() {
-                        let scenario = AttackScenario::attack(m, *d).with_strategy(cell.strategy);
-                        sweeps[j].begin_from(
-                            scenario,
-                            cell.policy,
-                            first,
-                            fused.lane_outcome(j),
-                            fused.lane_happy(j),
-                        );
-                    }
-                    for (k, dep) in deployments.iter().enumerate().skip(1) {
-                        for sweep in sweeps.iter_mut() {
-                            sweep.advance(dep);
-                        }
-                        for (i, row) in acc.iter_mut().enumerate() {
-                            let (lower, upper) = sweeps[cells.lane_of(i)].count_happy();
-                            row[k].add(HappyCount {
-                                lower,
-                                upper,
-                                sources,
-                            });
-                        }
-                    }
-                }
-            }
+        |w, (acc, stats), (d, attackers)| {
+            serve_destination(&eval, w, stats, *d, attackers, |c, k, count| {
+                acc[c][k].add(count)
+            });
         },
-        |a, b| {
+        |(a, s), (b, t)| {
             for (xs, ys) in a.iter_mut().zip(b) {
                 for (x, y) in xs.iter_mut().zip(ys) {
                     x.merge(y);
                 }
             }
+            s.merge(&t);
         },
-    );
-    accs.into_iter()
-        .map(|row| row.into_iter().map(|a| a.value()).collect())
-        .collect()
-}
-
-/// Per-destination happy counts (summed over the attackers) for every
-/// deployment of a sweep: `result[k][i]` is destination `destinations[i]`
-/// under `deployments[k]`. The sweep analogue of
-/// [`crate::runner::metric_by_destination`].
-pub fn metric_sweep_by_destination(
-    net: &Internet,
-    attackers: &[AsId],
-    destinations: &[AsId],
-    deployments: &[Deployment],
-    policy: Policy,
-    strategy: AttackStrategy,
-    par: Parallelism,
-) -> Vec<Vec<HappyCount>> {
-    metric_churn_by_destination(
-        net,
-        attackers,
-        destinations,
-        deployments,
-        policy,
-        strategy,
-        par,
     )
-    .0
+    .unwrap()
 }
 
-/// [`metric_sweep_by_destination`] plus the merged per-run [`SweepStats`]
-/// of every worker engine. Counts and stats are both bit-identical at any
-/// [`Parallelism`]: the per-destination slots are disjoint, and the stats
-/// are sums of per-destination counter deltas (order-independent).
-pub fn metric_churn_by_destination(
+/// Per-destination happy counts, summed over `attackers`, for every input
+/// cell `c` of `cells` and every deployment `S_k`: `counts[c][k][i]` is
+/// `destinations[i]` (the per-destination sequences of Figures 7(b), 9,
+/// 10 and 12), plus the merged [`SweepStats`]. Counts and stats are both
+/// bit-identical at any [`Parallelism`].
+pub fn metric_by_destination(
     net: &Internet,
     attackers: &[AsId],
     destinations: &[AsId],
     deployments: &[Deployment],
-    policy: Policy,
-    strategy: AttackStrategy,
+    cells: &CellSet,
     par: Parallelism,
-) -> (Vec<Vec<HappyCount>>, SweepStats) {
-    let indexed: Vec<(usize, AsId)> = destinations.iter().copied().enumerate().collect();
-    let sources = net.graph.len() - 2;
-    map_reduce_commutative_grouped(
+) -> (Vec<Vec<Vec<HappyCount>>>, SweepStats) {
+    if deployments.is_empty() {
+        return (vec![Vec::new(); cells.input_len()], SweepStats::default());
+    }
+    let eval = SweepCellsEval::with_cells(net, deployments, cells.clone());
+    let shape = || vec![vec![Vec::new(); deployments.len()]; cells.input_len()];
+    map_reduce(
         par,
-        &indexed,
-        || {
-            (
-                SweepEngine::new(&net.graph),
-                AttackDeltaEngine::new(&net.graph),
-            )
-        },
-        || {
-            (
-                vec![vec![HappyCount::default(); destinations.len()]; deployments.len()],
-                SweepStats::default(),
-            )
-        },
-        |(sweep, delta), (acc, stats), &(slot, d)| {
-            let before = sweep.stats();
-            sweep_pairs_for_destination(
-                sweep,
-                delta,
-                d,
-                attackers,
-                deployments,
-                policy,
-                strategy,
-                |k, (lower, upper)| {
-                    acc[k][slot] += HappyCount {
-                        lower,
-                        upper,
-                        sources,
-                    };
-                },
-            );
-            stats.merge(&sweep.stats().delta_since(&before));
+        destinations,
+        || eval.make_worker(),
+        || (shape(), SweepStats::default()),
+        |w, (acc, stats), &d| {
+            let mut sums = vec![vec![HappyCount::default(); deployments.len()]; cells.input_len()];
+            serve_destination(&eval, w, stats, d, attackers, |c, k, count| {
+                sums[c][k] += count
+            });
+            for (row, sums) in acc.iter_mut().zip(sums) {
+                for (col, sum) in row.iter_mut().zip(sums) {
+                    col.push(sum);
+                }
+            }
         },
         |(a, s), (b, t)| {
             for (xs, ys) in a.iter_mut().zip(b) {
                 for (x, y) in xs.iter_mut().zip(ys) {
-                    *x += y;
+                    x.extend(y);
                 }
             }
             s.merge(&t);
         },
     )
+    .unwrap()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{runner, sample, scenario};
-    use sbgp_core::SecurityModel;
+    use crate::{sample, scenario};
+    use sbgp_core::{AttackScenario, AttackStrategy, Bounds, Engine, Policy, SecurityModel};
 
     fn net() -> Internet {
         Internet::synthetic(600, 5)
@@ -385,6 +179,50 @@ mod tests {
         deps
     }
 
+    fn one(policy: Policy, strategy: AttackStrategy) -> CellSet {
+        CellSet::per_policy(&[policy], strategy)
+    }
+
+    /// Per-step values of a single-cell [`metric`] call.
+    fn values(
+        net: &Internet,
+        pairs: &[(AsId, AsId)],
+        deps: &[Deployment],
+        policy: Policy,
+        strategy: AttackStrategy,
+        par: Parallelism,
+    ) -> Vec<Bounds> {
+        let (accs, _) = metric(net, pairs, deps, &one(policy, strategy), par);
+        accs[0].iter().map(MetricAccumulator::value).collect()
+    }
+
+    /// The metric from a fresh `Engine::compute` per pair, folded in the
+    /// drivers' (group, attacker) order.
+    fn oracle(
+        net: &Internet,
+        pairs: &[(AsId, AsId)],
+        dep: &Deployment,
+        policy: Policy,
+        strategy: AttackStrategy,
+    ) -> Bounds {
+        let mut engine = Engine::new(&net.graph);
+        let mut total = MetricAccumulator::default();
+        for (d, attackers) in sample::group_by_destination(pairs) {
+            let mut acc = MetricAccumulator::default();
+            for m in attackers.into_iter().filter(|&m| m != d) {
+                let scenario = AttackScenario::attack(m, d).with_strategy(strategy);
+                let (lower, upper) = engine.compute(scenario, dep, policy).count_happy();
+                acc.add(HappyCount {
+                    lower,
+                    upper,
+                    sources: net.len() - 2,
+                });
+            }
+            total.merge(acc);
+        }
+        total.value()
+    }
+
     #[test]
     fn sweep_metric_equals_per_step_metric() {
         let net = net();
@@ -392,23 +230,23 @@ mod tests {
         let dests = sample::sample_all(&net, 6, 2);
         let pairs = sample::pairs(&attackers, &dests);
         let deps = deployments(&net);
+        let fake_link = AttackStrategy::FakeLink;
         for model in SecurityModel::ALL {
             let policy = Policy::new(model);
-            let swept = metric_sweep(
-                &net,
-                &pairs,
-                &deps,
-                policy,
-                AttackStrategy::FakeLink,
-                Parallelism(2),
-            );
+            let swept = values(&net, &pairs, &deps, policy, fake_link, Parallelism(2));
             assert_eq!(swept.len(), deps.len());
             for (k, dep) in deps.iter().enumerate() {
-                // Bit-identical, not approximately equal: both paths add
+                // Bit-identical, not approximately equal: every path adds
                 // the same per-pair fractions in the same (group, attacker)
                 // order, whatever serves the outcomes.
-                let fresh = runner::metric(&net, &pairs, dep, policy, Parallelism(2));
-                assert_eq!(swept[k], fresh, "{model} step {k}");
+                let single = std::slice::from_ref(dep);
+                let fresh = values(&net, &pairs, single, policy, fake_link, Parallelism(2));
+                assert_eq!(swept[k], fresh[0], "{model} step {k}");
+                assert_eq!(
+                    swept[k],
+                    oracle(&net, &pairs, dep, policy, fake_link),
+                    "{model} step {k} vs fresh computes"
+                );
             }
         }
     }
@@ -419,28 +257,37 @@ mod tests {
         let attackers = sample::sample_non_stubs(&net, 3, 7);
         let dests = sample::sample_all(&net, 5, 8);
         let deps = deployments(&net);
-        let policy = Policy::new(SecurityModel::Security2nd);
-        let swept = metric_sweep_by_destination(
-            &net,
-            &attackers,
-            &dests,
-            &deps,
-            policy,
+        let (policy, fake_link) = (
+            Policy::new(SecurityModel::Security2nd),
             AttackStrategy::FakeLink,
-            Parallelism(2),
         );
-        assert_eq!(swept.len(), deps.len());
+        let cells = one(policy, fake_link);
+        let (swept, _) =
+            metric_by_destination(&net, &attackers, &dests, &deps, &cells, Parallelism(2));
+        assert_eq!(swept[0].len(), deps.len());
         for (k, dep) in deps.iter().enumerate() {
-            let fresh = runner::metric_by_destination(
+            let (fresh, _) = metric_by_destination(
                 &net,
                 &attackers,
                 &dests,
-                dep,
-                policy,
-                AttackStrategy::FakeLink,
+                std::slice::from_ref(dep),
+                &cells,
                 Parallelism(2),
             );
-            assert_eq!(swept[k], fresh, "step {k}");
+            assert_eq!(swept[0][k], fresh[0][0], "step {k}");
+            // A destination's summed count is the metric over its pairs.
+            let pairs: Vec<(AsId, AsId)> = attackers.iter().map(|&m| (m, dests[0])).collect();
+            let direct = values(
+                &net,
+                &pairs,
+                std::slice::from_ref(dep),
+                policy,
+                fake_link,
+                Parallelism(1),
+            );
+            let f = swept[0][k][0].fraction();
+            assert!((f.lower - direct[0].lower).abs() < 1e-12, "step {k}");
+            assert!((f.upper - direct[0].upper).abs() < 1e-12, "step {k}");
         }
     }
 
@@ -448,7 +295,7 @@ mod tests {
     fn sweep_honors_the_attack_strategy() {
         // A k-hop forged path changes the swept metric versus the fake
         // link (longer claimed paths attract less), and the swept result
-        // still matches the per-step runner under the same strategy.
+        // still matches fresh computes under the same strategy.
         let net = net();
         let attackers = sample::sample_non_stubs(&net, 3, 5);
         let dests = sample::sample_all(&net, 4, 6);
@@ -456,13 +303,15 @@ mod tests {
         let deps = deployments(&net);
         let policy = Policy::new(SecurityModel::Security3rd);
         let forged = AttackStrategy::FakePath { hops: 3 };
-        let swept = metric_sweep(&net, &pairs, &deps, policy, forged, Parallelism(2));
+        let swept = values(&net, &pairs, &deps, policy, forged, Parallelism(2));
         for (k, dep) in deps.iter().enumerate() {
-            let fresh =
-                runner::metric_with_strategy(&net, &pairs, dep, policy, forged, Parallelism(2));
-            assert_eq!(swept[k], fresh, "step {k}");
+            assert_eq!(
+                swept[k],
+                oracle(&net, &pairs, dep, policy, forged),
+                "step {k}"
+            );
         }
-        let fake_link = metric_sweep(
+        let fake_link = values(
             &net,
             &pairs,
             &deps,
@@ -490,16 +339,11 @@ mod tests {
         let traj = scenario::churn_trajectory(&net, 3);
         assert_eq!(traj.len(), 5);
         let policy = Policy::new(SecurityModel::Security2nd);
-        let (churned, stats) = metric_churn(
-            &net,
-            &pairs,
-            &traj,
-            policy,
-            AttackStrategy::FakeLink,
-            Parallelism(2),
-        );
+        let cells = one(policy, AttackStrategy::FakeLink);
+        let (accs, stats) = metric(&net, &pairs, &traj, &cells, Parallelism(2));
+        let churned: Vec<Bounds> = accs[0].iter().map(MetricAccumulator::value).collect();
         for (k, dep) in traj.iter().enumerate() {
-            let fresh = runner::metric(&net, &pairs, dep, policy, Parallelism(2));
+            let fresh = oracle(&net, &pairs, dep, policy, AttackStrategy::FakeLink);
             assert_eq!(churned[k], fresh, "step {k}");
         }
         // Wax-and-wane symmetry: step k and its mirror see the same S.
@@ -523,33 +367,22 @@ mod tests {
         let dests = sample::sample_all(&net, 5, 22);
         let pairs = sample::pairs(&attackers, &dests);
         let traj = scenario::churn_trajectory(&net, 2);
-        let policy = Policy::new(SecurityModel::Security3rd);
+        let cells = one(
+            Policy::new(SecurityModel::Security3rd),
+            AttackStrategy::FakeLink,
+        );
         let runs: Vec<_> = [Parallelism(1), Parallelism(2), Parallelism::auto()]
             .into_iter()
-            .map(|par| metric_churn(&net, &pairs, &traj, policy, AttackStrategy::FakeLink, par))
+            .map(|par| {
+                let (accs, stats) = metric(&net, &pairs, &traj, &cells, par);
+                let values: Vec<Bounds> = accs[0].iter().map(MetricAccumulator::value).collect();
+                (values, stats)
+            })
             .collect();
         assert_eq!(runs[0], runs[1]);
         assert_eq!(runs[0], runs[2]);
-        let (counts, stats) = metric_churn_by_destination(
-            &net,
-            &attackers,
-            &dests,
-            &traj,
-            policy,
-            AttackStrategy::FakeLink,
-            Parallelism(2),
-        );
-        let (counts1, stats1) = metric_churn_by_destination(
-            &net,
-            &attackers,
-            &dests,
-            &traj,
-            policy,
-            AttackStrategy::FakeLink,
-            Parallelism(1),
-        );
-        assert_eq!(counts, counts1);
-        assert_eq!(stats, stats1);
+        let by_dest = |par| metric_by_destination(&net, &attackers, &dests, &traj, &cells, par);
+        assert_eq!(by_dest(Parallelism(2)), by_dest(Parallelism(1)));
     }
 
     #[test]
@@ -560,10 +393,20 @@ mod tests {
         let pairs = sample::pairs(&attackers, &dests);
         let policy = Policy::new(SecurityModel::Security3rd);
         let fake_link = AttackStrategy::FakeLink;
-        assert!(metric_sweep(&net, &pairs, &[], policy, fake_link, Parallelism(1)).is_empty());
+        assert!(values(&net, &pairs, &[], policy, fake_link, Parallelism(1)).is_empty());
+        let (counts, stats) = metric_by_destination(
+            &net,
+            &attackers,
+            &dests,
+            &[],
+            &one(policy, fake_link),
+            Parallelism(1),
+        );
+        assert_eq!(counts, vec![Vec::<Vec<HappyCount>>::new()]);
+        assert_eq!(stats, SweepStats::default());
         let single = vec![Deployment::empty(net.len())];
-        let swept = metric_sweep(&net, &pairs, &single, policy, fake_link, Parallelism(1));
-        let fresh = runner::metric(&net, &pairs, &single[0], policy, Parallelism(1));
+        let swept = values(&net, &pairs, &single, policy, fake_link, Parallelism(1));
+        let fresh = oracle(&net, &pairs, &single[0], policy, fake_link);
         assert_eq!(swept, vec![fresh]);
     }
 }

@@ -56,23 +56,21 @@ fn main() {
     let attackers = sample::sample_non_stubs(&net, 10, 1);
     let dests = sample::sample_all(&net, 20, 2);
     let pairs = sample::pairs(&attackers, &dests);
-    let baseline = runner::metric(
-        &net,
-        &pairs,
-        &Deployment::empty(net.len()),
-        Policy::new(SecurityModel::Security3rd),
-        Parallelism(1),
+    // One pass over [∅, S] serves every model: h[model][step].
+    let cells = CellSet::per_policy(
+        &SecurityModel::ALL.map(Policy::new),
+        AttackStrategy::FakeLink,
     );
+    let deployments = [Deployment::empty(net.len()), step.deployment.clone()];
+    let (h, _) = sweep::metric(&net, &pairs, &deployments, &cells, Parallelism(1));
+    // At S = ∅ no route is secure, so every model gives the same H(∅).
+    let baseline = h[0][0].value();
     println!("\nH(∅)  = {baseline}  (origin authentication only)");
-    for model in SecurityModel::ALL {
-        let h = runner::metric(
-            &net,
-            &pairs,
-            &step.deployment,
-            Policy::new(model),
-            Parallelism(1),
+    for (model, h) in SecurityModel::ALL.into_iter().zip(&h) {
+        println!(
+            "H(S) − H(∅) under {model}: {}",
+            h[1].value().minus(baseline)
         );
-        println!("H(S) − H(∅) under {model}: {}", h.minus(baseline));
     }
     println!("\n(the juice: big under security 1st, meagre under security 3rd)");
 }

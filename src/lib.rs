@@ -31,13 +31,13 @@
 //! let attackers = sample::sample_non_stubs(&net, 5, 7);
 //! let dests = sample::sample_all(&net, 10, 8);
 //! let pairs = sample::pairs(&attackers, &dests);
-//! let h = runner::metric(
-//!     &net,
-//!     &pairs,
-//!     &step.deployment,
-//!     Policy::new(SecurityModel::Security2nd),
-//!     Parallelism(1),
+//! let cells = CellSet::per_policy(
+//!     &[Policy::new(SecurityModel::Security2nd)],
+//!     AttackStrategy::FakeLink,
 //! );
+//! let deployments = std::slice::from_ref(&step.deployment);
+//! let (h, _) = sweep::metric(&net, &pairs, deployments, &cells, Parallelism(1));
+//! let h = h[0][0].value();
 //! assert!(h.lower > 0.0 && h.upper <= 1.0);
 //! ```
 //!

@@ -217,6 +217,79 @@ fn campaign_workers_bit_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The supervised estimator reproduces the in-process one **bit for bit**
+/// over a multi-round budget: every estimate's value and half-width, and
+/// the round trajectory, compared through `f64::to_bits` rather than the
+/// 6-decimal campaign JSON. Both backends share one round loop and fold a
+/// round's group accumulators from empty in group order.
+#[test]
+fn supervised_estimates_match_in_process_bit_for_bit() {
+    use bgp_juice::prelude::*;
+    use bgp_juice::sim::stats::{
+        estimate_adaptive_cells_eval, AdaptiveRun, CellEval, EstimatorConfig, PairUniverse,
+        SweepCellsEval,
+    };
+    use bgp_juice::sim::supervise::{estimate_adaptive_supervised, Supervisor, SupervisorConfig};
+    use std::time::Duration;
+
+    // The campaign's baseline figure group: 300 ASes, seed 7, sec1 + sec2,
+    // 100 pairs — two adaptive rounds.
+    let net = Internet::synthetic(300, 7);
+    let all: Vec<AsId> = net.graph.ases().collect();
+    let universe = PairUniverse::new(&net, &all, &all);
+    let deployments = [Deployment::empty(net.len())];
+    let policies = [
+        Policy::new(SecurityModel::Security1st),
+        Policy::new(SecurityModel::Security2nd),
+    ];
+    let eval = SweepCellsEval::new(&net, &deployments, &policies, AttackStrategy::FakeLink);
+    let cfg = EstimatorConfig::with_budget(100, 7);
+    let in_process = estimate_adaptive_cells_eval(&universe, &cfg, &eval, Parallelism(2));
+
+    let mut sup = Supervisor::new(SupervisorConfig {
+        workers: 2,
+        argv: vec![campaign_bin().display().to_string(), "--worker".to_string()],
+        watchdog: Duration::from_secs(300),
+        strikes: 3,
+        backoff: Duration::from_millis(50),
+    });
+    let spec = "{\"figure\":\"baseline\",\"asns\":300,\"seed\":7,\"models\":[\"sec1\",\"sec2\"],\"steps\":2}";
+    let supervised =
+        estimate_adaptive_supervised(&universe, &cfg, &eval.cell_stats(), spec, &mut sup);
+
+    // Per run: every estimate's value and half-width bits, then every
+    // round's (pairs, widest half-width bits), then the lost groups.
+    let bits = |runs: &[AdaptiveRun]| -> Vec<Vec<u64>> {
+        runs.iter()
+            .map(|r| {
+                let estimates = r.estimates.iter().flat_map(|e| {
+                    [
+                        e.value.lower,
+                        e.value.upper,
+                        e.halfwidth.lower,
+                        e.halfwidth.upper,
+                    ]
+                    .map(f64::to_bits)
+                });
+                let rounds = r
+                    .rounds
+                    .iter()
+                    .flat_map(|t| [t.pairs, t.max_halfwidth.to_bits()]);
+                estimates.chain(rounds).chain([r.lost_groups]).collect()
+            })
+            .collect()
+    };
+    assert_eq!(in_process.len(), policies.len());
+    assert!(
+        in_process.iter().all(|r| r.rounds.len() >= 2),
+        "the budget must span several rounds"
+    );
+    assert_eq!(bits(&supervised), bits(&in_process));
+    for (s, p) in supervised.iter().zip(&in_process) {
+        assert_eq!(s.sampled, p.sampled);
+    }
+}
+
 /// Resume must never trust damaged checkpoint bytes: a corrupted cell
 /// (checksum mismatch) and a zero-byte cell are both quarantined to
 /// `<name>.json.quarantined` and recomputed, and the repaired campaign

@@ -1,10 +1,10 @@
-//! Thread-count determinism: `runner::metric`, the sweep and churn
-//! runners (merged `SweepStats` included), and the
-//! strategic-attacker runners (strategy ladder, collusion) must
-//! produce **bit-identical** results at any [`Parallelism`] — including the
-//! floating-point metric bounds, not just integer counts. The runner
-//! guarantees this by reducing fixed-size work chunks in chunk order, no
-//! matter which worker computed which chunk.
+//! Thread-count determinism: the explicit-pair and per-destination
+//! drivers (one deployment, sweeps and churn, merged `SweepStats`
+//! included), the strategic-attacker runners (strategy ladder, collusion)
+//! and the adaptive estimators must produce **bit-identical** results at
+//! any [`Parallelism`] — including the floating-point metric bounds, not
+//! just integer counts. The reduction guarantees this by merging work
+//! items in item order, no matter which worker computed which item.
 
 use bgp_juice::prelude::*;
 use bgp_juice::sim::stats::{self, EstimatorConfig};
@@ -24,29 +24,44 @@ fn parallelisms() -> [Parallelism; 3] {
     ]
 }
 
+/// One fake-link policy along `deps`: the per-step value and standard
+/// error bounds as raw bits, and the merged sweep stats.
+fn metric_bits(
+    net: &Internet,
+    pairs: &[(AsId, AsId)],
+    deps: &[Deployment],
+    policy: Policy,
+    par: Parallelism,
+) -> (Vec<[u64; 4]>, SweepStats) {
+    let cells = CellSet::per_policy(&[policy], AttackStrategy::FakeLink);
+    let (accs, stats) = sweep::metric(net, pairs, deps, &cells, par);
+    let bits = accs[0]
+        .iter()
+        .map(|a| {
+            let (v, e) = (a.value(), a.stderr());
+            [v.lower, v.upper, e.lower, e.upper].map(f64::to_bits)
+        })
+        .collect();
+    (bits, stats)
+}
+
 #[test]
 fn metric_is_bit_identical_across_thread_counts() {
     let net = net();
     let attackers = sample::sample_non_stubs(&net, 7, 1);
     let dests = sample::sample_all(&net, 11, 2);
     let pairs = sample::pairs(&attackers, &dests);
-    let dep = Deployment::full_from_iter(net.len(), net.tiers.tier1().iter().copied());
+    let dep = [Deployment::full_from_iter(
+        net.len(),
+        net.tiers.tier1().iter().copied(),
+    )];
     for model in SecurityModel::ALL {
         let policy = Policy::new(model);
-        let reference = runner::metric(&net, &pairs, &dep, policy, Parallelism::sequential());
+        let reference = metric_bits(&net, &pairs, &dep, policy, Parallelism::sequential());
         for par in parallelisms() {
-            let got = runner::metric(&net, &pairs, &dep, policy, par);
             // Bit-identical, not approximately equal.
-            assert_eq!(
-                got.lower.to_bits(),
-                reference.lower.to_bits(),
-                "{model} lower @ {par:?}"
-            );
-            assert_eq!(
-                got.upper.to_bits(),
-                reference.upper.to_bits(),
-                "{model} upper @ {par:?}"
-            );
+            let got = metric_bits(&net, &pairs, &dep, policy, par);
+            assert_eq!(got.0, reference.0, "{model} @ {par:?}");
         }
     }
 }
@@ -57,23 +72,14 @@ fn metric_with_stderr_is_bit_identical_across_thread_counts() {
     let attackers = sample::sample_non_stubs(&net, 5, 3);
     let dests = sample::sample_all(&net, 9, 4);
     let pairs = sample::pairs(&attackers, &dests);
-    let dep = Deployment::empty(net.len());
+    let dep = [Deployment::empty(net.len())];
     let policy = Policy::new(SecurityModel::Security3rd);
-    let (ref_val, ref_err) = runner::metric_with_stderr(
-        &net,
-        &pairs,
-        &dep,
-        policy,
-        AttackStrategy::FakeLink,
-        Parallelism::sequential(),
-    );
+    let (reference, _) = metric_bits(&net, &pairs, &dep, policy, Parallelism::sequential());
+    // The standard error is nonzero, so its bits are really compared.
+    assert_ne!(reference[0][2], 0);
     for par in parallelisms() {
-        let (val, err) =
-            runner::metric_with_stderr(&net, &pairs, &dep, policy, AttackStrategy::FakeLink, par);
-        assert_eq!(val.lower.to_bits(), ref_val.lower.to_bits(), "{par:?}");
-        assert_eq!(val.upper.to_bits(), ref_val.upper.to_bits(), "{par:?}");
-        assert_eq!(err.lower.to_bits(), ref_err.lower.to_bits(), "{par:?}");
-        assert_eq!(err.upper.to_bits(), ref_err.upper.to_bits(), "{par:?}");
+        let (got, _) = metric_bits(&net, &pairs, &dep, policy, par);
+        assert_eq!(got, reference, "{par:?}");
     }
 }
 
@@ -90,37 +96,18 @@ fn sweep_results_are_bit_identical_across_thread_counts() {
     ];
     for model in SecurityModel::ALL {
         let policy = Policy::new(model);
-        let reference = sweep::metric_sweep(
-            &net,
-            &pairs,
-            &deps,
-            policy,
-            AttackStrategy::FakeLink,
-            Parallelism::sequential(),
-        );
+        let (reference, _) = metric_bits(&net, &pairs, &deps, policy, Parallelism::sequential());
+        assert_eq!(reference.len(), deps.len());
         for par in parallelisms() {
-            let got =
-                sweep::metric_sweep(&net, &pairs, &deps, policy, AttackStrategy::FakeLink, par);
-            assert_eq!(got.len(), reference.len());
-            for (k, (g, r)) in got.iter().zip(&reference).enumerate() {
-                assert_eq!(
-                    g.lower.to_bits(),
-                    r.lower.to_bits(),
-                    "{model} step {k} lower @ {par:?}"
-                );
-                assert_eq!(
-                    g.upper.to_bits(),
-                    r.upper.to_bits(),
-                    "{model} step {k} upper @ {par:?}"
-                );
-            }
+            let (got, _) = metric_bits(&net, &pairs, &deps, policy, par);
+            assert_eq!(got, reference, "{model} @ {par:?}");
         }
     }
 }
 
 #[test]
 fn churn_metric_is_bit_identical_across_thread_counts() {
-    // The non-monotone drivers inherit the chunk-order reduction, and the
+    // The non-monotone drivers inherit the item-order reduction, and the
     // merged SweepStats are a sum of per-group deltas — so the *stats*
     // (fallback counts, step directions, re-fixed ASes) are pinned too,
     // not just the float bounds.
@@ -131,30 +118,11 @@ fn churn_metric_is_bit_identical_across_thread_counts() {
     let deps = scenario::churn_trajectory(&net, 4);
     for model in SecurityModel::ALL {
         let policy = Policy::new(model);
-        let (reference, ref_stats) = sweep::metric_churn(
-            &net,
-            &pairs,
-            &deps,
-            policy,
-            AttackStrategy::FakeLink,
-            Parallelism::sequential(),
-        );
+        let (reference, ref_stats) =
+            metric_bits(&net, &pairs, &deps, policy, Parallelism::sequential());
         for par in parallelisms() {
-            let (got, stats) =
-                sweep::metric_churn(&net, &pairs, &deps, policy, AttackStrategy::FakeLink, par);
-            assert_eq!(got.len(), reference.len());
-            for (k, (g, r)) in got.iter().zip(&reference).enumerate() {
-                assert_eq!(
-                    g.lower.to_bits(),
-                    r.lower.to_bits(),
-                    "{model} step {k} lower @ {par:?}"
-                );
-                assert_eq!(
-                    g.upper.to_bits(),
-                    r.upper.to_bits(),
-                    "{model} step {k} upper @ {par:?}"
-                );
-            }
+            let (got, stats) = metric_bits(&net, &pairs, &deps, policy, par);
+            assert_eq!(got, reference, "{model} @ {par:?}");
             assert_eq!(stats, ref_stats, "{model} sweep stats @ {par:?}");
         }
     }
@@ -166,26 +134,14 @@ fn churn_by_destination_is_identical_across_thread_counts() {
     let attackers = sample::sample_non_stubs(&net, 4, 17);
     let dests = sample::sample_all(&net, 6, 18);
     let deps = scenario::churn_trajectory(&net, 3);
-    let policy = Policy::new(SecurityModel::Security2nd);
-    let (reference, ref_stats) = sweep::metric_churn_by_destination(
-        &net,
-        &attackers,
-        &dests,
-        &deps,
-        policy,
+    let cells = CellSet::per_policy(
+        &[Policy::new(SecurityModel::Security2nd)],
         AttackStrategy::FakeLink,
-        Parallelism::sequential(),
     );
+    let run = |par| sweep::metric_by_destination(&net, &attackers, &dests, &deps, &cells, par);
+    let (reference, ref_stats) = run(Parallelism::sequential());
     for par in parallelisms() {
-        let (got, stats) = sweep::metric_churn_by_destination(
-            &net,
-            &attackers,
-            &dests,
-            &deps,
-            policy,
-            AttackStrategy::FakeLink,
-            par,
-        );
+        let (got, stats) = run(par);
         assert_eq!(got, reference, "{par:?}");
         assert_eq!(stats, ref_stats, "sweep stats @ {par:?}");
     }
@@ -200,27 +156,15 @@ fn sweep_by_destination_is_identical_across_thread_counts() {
         Deployment::empty(net.len()),
         scenario::tier12_step(&net, 4, 10).deployment.clone(),
     ];
-    let policy = Policy::new(SecurityModel::Security2nd);
-    let reference = sweep::metric_sweep_by_destination(
-        &net,
-        &attackers,
-        &dests,
-        &deps,
-        policy,
+    // The whole model grid in one pass.
+    let cells = CellSet::per_policy(
+        &SecurityModel::ALL.map(Policy::new),
         AttackStrategy::FakeLink,
-        Parallelism::sequential(),
     );
+    let run = |par| sweep::metric_by_destination(&net, &attackers, &dests, &deps, &cells, par);
+    let reference = run(Parallelism::sequential());
     for par in parallelisms() {
-        let got = sweep::metric_sweep_by_destination(
-            &net,
-            &attackers,
-            &dests,
-            &deps,
-            policy,
-            AttackStrategy::FakeLink,
-            par,
-        );
-        assert_eq!(got, reference, "{par:?}");
+        assert_eq!(run(par), reference, "{par:?}");
     }
 }
 
@@ -231,25 +175,21 @@ fn strategy_ladder_is_bit_identical_across_thread_counts() {
     let dests = sample::sample_all(&net, 7, 12);
     let pairs = sample::pairs(&attackers, &dests);
     let dep = Deployment::full_from_iter(net.len(), net.tiers.tier1().iter().copied());
-    for model in SecurityModel::ALL {
-        let policy = Policy::new(model);
-        let reference = strategy::metric_strategy_ladder(
+    let policies = SecurityModel::ALL.map(Policy::new);
+    let ladder = |par| {
+        strategy::metric_strategy_ladder(
             &net,
             &pairs,
             &dep,
-            policy,
+            &policies,
             &AttackStrategy::LADDER,
-            Parallelism::sequential(),
-        );
-        for par in parallelisms() {
-            let got = strategy::metric_strategy_ladder(
-                &net,
-                &pairs,
-                &dep,
-                policy,
-                &AttackStrategy::LADDER,
-                par,
-            );
+            par,
+        )
+    };
+    let references = ladder(Parallelism::sequential());
+    for par in parallelisms() {
+        let gots = ladder(par);
+        for ((got, reference), model) in gots.iter().zip(&references).zip(SecurityModel::ALL) {
             assert_eq!(got.wins, reference.wins, "{model} wins @ {par:?}");
             assert_eq!(got.pairs, reference.pairs, "{model} pairs @ {par:?}");
             assert_eq!(
@@ -280,7 +220,7 @@ fn strategy_ladder_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn stratified_adaptive_runs_are_bit_identical_across_thread_counts() {
-    // The estimation subsystem inherits the chunk-order reduction: the
+    // The estimation subsystem inherits the group-order reduction: the
     // whole adaptive run — estimates (floating point included), CI-width
     // trajectory, and the realized sample — is bit-identical at any
     // thread count.
@@ -293,29 +233,23 @@ fn stratified_adaptive_runs_are_bit_identical_across_thread_counts() {
         scenario::tier12_step(&net, 5, 20).deployment.clone(),
     ];
     let cfg = EstimatorConfig::with_budget(600, 21).with_ci(0.004);
-    for model in SecurityModel::ALL {
-        let policy = Policy::new(model);
-        let reference = stats::estimate_metric_sweep(
+    let policies = SecurityModel::ALL.map(Policy::new);
+    let estimate = |par| {
+        stats::estimate_metric_sweep_cells(
             &net,
             &attackers,
             &dests,
             &deps,
-            policy,
+            &policies,
             AttackStrategy::FakeLink,
             &cfg,
-            Parallelism::sequential(),
-        );
-        for par in parallelisms() {
-            let got = stats::estimate_metric_sweep(
-                &net,
-                &attackers,
-                &dests,
-                &deps,
-                policy,
-                AttackStrategy::FakeLink,
-                &cfg,
-                par,
-            );
+            par,
+        )
+    };
+    let references = estimate(Parallelism::sequential());
+    for par in parallelisms() {
+        let gots = estimate(par);
+        for ((got, reference), model) in gots.iter().zip(&references).zip(SecurityModel::ALL) {
             assert_eq!(got.sampled, reference.sampled, "{model} sample @ {par:?}");
             assert_eq!(got.rounds, reference.rounds, "{model} rounds @ {par:?}");
             assert_eq!(got.estimates.len(), reference.estimates.len());
@@ -350,16 +284,17 @@ fn adaptive_stopping_is_monotone_in_the_ci_target() {
         if let Some(t) = target {
             cfg = cfg.with_ci(t);
         }
-        stats::estimate_metric(
+        stats::estimate_metric_sweep_cells(
             &net,
             &attackers,
             &dests,
-            &dep,
-            policy,
+            std::slice::from_ref(&dep),
+            &[policy],
             AttackStrategy::FakeLink,
             &cfg,
             Parallelism(2),
         )
+        .swap_remove(0)
     };
     // Loosest to tightest; `None` runs to the budget, the floor for all.
     let targets = [Some(0.05), Some(0.02), Some(0.01), Some(0.004), None];

@@ -35,7 +35,7 @@ const COMBOS: [(SecurityModel, LpVariant, u8); 6] = [
 ];
 
 /// The exhaustive-oracle metric: a plain mean of per-pair happy fractions
-/// over the full `m ≠ d` grid, through the classic runner.
+/// over the full `m ≠ d` grid, through the explicit-pair driver.
 fn oracle(
     net: &Internet,
     attackers: &[AsId],
@@ -45,7 +45,38 @@ fn oracle(
     strategy: AttackStrategy,
 ) -> Bounds {
     let pairs = sample::pairs_exhaustive(attackers, dests);
-    runner::metric_with_strategy(net, &pairs, dep, policy, strategy, Parallelism(2))
+    let cells = CellSet::per_policy(&[policy], strategy);
+    let (accs, _) = sweep::metric(
+        net,
+        &pairs,
+        std::slice::from_ref(dep),
+        &cells,
+        Parallelism(2),
+    );
+    accs[0][0].value()
+}
+
+/// The stratified estimate of one cell under one deployment.
+fn estimate(
+    net: &Internet,
+    attackers: &[AsId],
+    dests: &[AsId],
+    dep: &Deployment,
+    policy: Policy,
+    strategy: AttackStrategy,
+    cfg: &EstimatorConfig,
+) -> stats::AdaptiveRun {
+    stats::estimate_metric_sweep_cells(
+        net,
+        attackers,
+        dests,
+        std::slice::from_ref(dep),
+        &[policy],
+        strategy,
+        cfg,
+        Parallelism(2),
+    )
+    .swap_remove(0)
 }
 
 /// Full-budget estimation: sampled set ≡ exhaustive grid, half-width ≡ 0,
@@ -61,16 +92,7 @@ fn check_full_budget(
 ) {
     let truth = oracle(net, attackers, dests, dep, policy, strategy);
     let cfg = EstimatorConfig::with_budget(u64::MAX, seed);
-    let run = stats::estimate_metric(
-        net,
-        attackers,
-        dests,
-        dep,
-        policy,
-        strategy,
-        &cfg,
-        Parallelism(2),
-    );
+    let run = estimate(net, attackers, dests, dep, policy, strategy, &cfg);
     let exhaustive: HashSet<(AsId, AsId)> = sample::pairs_exhaustive(attackers, dests)
         .into_iter()
         .collect();
@@ -159,16 +181,7 @@ fn ci_coverage_meets_the_nominal_rate() {
         let (mut combo_cov, mut combo_total) = (0u32, 0u32);
         for trial in 0..TRIALS {
             let cfg = EstimatorConfig::with_budget(BUDGET, 0x9000 + 64 * c as u64 + trial);
-            let run = stats::estimate_metric(
-                &net,
-                &attackers,
-                &dests,
-                &dep,
-                policy,
-                strategy,
-                &cfg,
-                Parallelism(2),
-            );
+            let run = estimate(&net, &attackers, &dests, &dep, policy, strategy, &cfg);
             assert_eq!(run.sampled.len() as u64, BUDGET);
             let e = run.estimates[0];
             assert!(

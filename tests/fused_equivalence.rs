@@ -11,9 +11,10 @@
 //! the solo [`AttackDeltaEngine`] against fresh computes, so checking the
 //! fused engine against the solo delta closes the chain fused ≡ delta ≡
 //! engine ≡ simulated S*BGP. A fixed-seed determinism test additionally
-//! pins the fused destination-major runners (`runner::metric_cells`,
-//! `sweep::metric_sweep_cells`) bit-identical across thread counts *and*
-//! to their single-cell counterparts.
+//! pins the fused destination-major driver (`sweep::metric`, one
+//! deployment and a whole sweep) bit-identical across thread counts, to
+//! its single-cell calls, and (one deployment) to a solo
+//! [`AttackDeltaEngine`] fold.
 
 use proptest::prelude::*;
 
@@ -391,95 +392,81 @@ fn fused_runners_are_bit_identical_across_thread_counts() {
         Parallelism::auto(),
     ];
 
-    for dep in &deployments {
-        let reference = runner::metric_cells(&net, &pairs, dep, &cells, Parallelism::sequential());
+    let bounds = |accs: &[Vec<bgp_juice::core::metric::MetricAccumulator>]| -> Vec<Vec<Bounds>> {
+        accs.iter()
+            .map(|row| row.iter().map(|a| a.value()).collect())
+            .collect()
+    };
+    let bits = |rows: &[Vec<Bounds>]| -> Vec<Vec<(u64, u64)>> {
+        rows.iter()
+            .map(|row| {
+                row.iter()
+                    .map(|b| (b.lower.to_bits(), b.upper.to_bits()))
+                    .collect()
+            })
+            .collect()
+    };
+    let run = |deps: &[Deployment], cells: &CellSet, par| {
+        bounds(&simsweep::metric(&net, &pairs, deps, cells, par).0)
+    };
+
+    let mut steps: Vec<&[Deployment]> = deployments.chunks(1).collect();
+    steps.push(&deployments);
+    for deps in steps {
+        let reference = run(deps, &cells, Parallelism::sequential());
         assert_eq!(reference.len(), cells.input_len());
         // Across thread counts: bit-identical, not approximately equal.
         for par in parallelisms {
-            let got = runner::metric_cells(&net, &pairs, dep, &cells, par);
-            for (i, (g, r)) in got.iter().zip(&reference).enumerate() {
-                assert_eq!(
-                    g.lower.to_bits(),
-                    r.lower.to_bits(),
-                    "cell {i} lower @ {par:?}"
-                );
-                assert_eq!(
-                    g.upper.to_bits(),
-                    r.upper.to_bits(),
-                    "cell {i} upper @ {par:?}"
-                );
-            }
+            assert_eq!(
+                bits(&run(deps, &cells, par)),
+                bits(&reference),
+                "{} steps @ {par:?}",
+                deps.len()
+            );
         }
-        // Against the single-cell runner, cell by cell.
-        for (i, r) in reference.iter().enumerate() {
+        // Against single-cell calls, cell by cell.
+        for (i, row) in reference.iter().enumerate() {
             let (p, rung) = (i / rungs.len(), rungs[i % rungs.len()]);
-            let solo = runner::metric_with_strategy(
-                &net,
-                &pairs,
-                dep,
-                policies[p],
-                rung,
-                Parallelism::sequential(),
-            );
+            let one = CellSet::per_policy(&[policies[p]], rung);
+            let solo = run(deps, &one, Parallelism::sequential());
             assert_eq!(
-                solo.lower.to_bits(),
-                r.lower.to_bits(),
-                "solo cell {i} lower"
+                bits(&solo[..1]),
+                bits(std::slice::from_ref(row)),
+                "solo cell {i}"
             );
-            assert_eq!(
-                solo.upper.to_bits(),
-                r.upper.to_bits(),
-                "solo cell {i} upper"
-            );
-        }
-    }
-
-    let reference = simsweep::metric_sweep_cells(
-        &net,
-        &pairs,
-        &deployments,
-        &cells,
-        Parallelism::sequential(),
-    );
-    assert_eq!(reference.len(), cells.input_len());
-    for par in parallelisms {
-        let got = simsweep::metric_sweep_cells(&net, &pairs, &deployments, &cells, par);
-        for (i, (grow, rrow)) in got.iter().zip(&reference).enumerate() {
-            for (k, (g, r)) in grow.iter().zip(rrow).enumerate() {
-                assert_eq!(
-                    g.lower.to_bits(),
-                    r.lower.to_bits(),
-                    "cell {i} step {k} lower @ {par:?}"
-                );
-                assert_eq!(
-                    g.upper.to_bits(),
-                    r.upper.to_bits(),
-                    "cell {i} step {k} upper @ {par:?}"
-                );
+            // One deployment: against the solo delta engine's fold.
+            if let [dep] = deps {
+                let delta = delta_metric(&net, &pairs, dep, policies[p], rung);
+                assert_eq!(bits(&[vec![delta]]), bits(&solo[..1]), "delta cell {i}");
             }
         }
     }
-    for (i, rrow) in reference.iter().enumerate() {
-        let (p, rung) = (i / rungs.len(), rungs[i % rungs.len()]);
-        let solo = simsweep::metric_sweep(
-            &net,
-            &pairs,
-            &deployments,
-            policies[p],
-            rung,
-            Parallelism::sequential(),
-        );
-        for (k, (s, r)) in solo.iter().zip(rrow).enumerate() {
-            assert_eq!(
-                s.lower.to_bits(),
-                r.lower.to_bits(),
-                "solo cell {i} step {k} lower"
-            );
-            assert_eq!(
-                s.upper.to_bits(),
-                r.upper.to_bits(),
-                "solo cell {i} step {k} upper"
-            );
+}
+
+/// `H_{M,D}(S)` for one cell from a solo [`AttackDeltaEngine`] per
+/// destination, folded in the drivers' (group, attacker) order.
+fn delta_metric(
+    net: &Internet,
+    pairs: &[(AsId, AsId)],
+    dep: &Deployment,
+    policy: Policy,
+    strategy: AttackStrategy,
+) -> Bounds {
+    let mut delta = AttackDeltaEngine::new(&net.graph);
+    let mut total = bgp_juice::core::metric::MetricAccumulator::default();
+    for (d, attackers) in sample::group_by_destination(pairs) {
+        let mut acc = bgp_juice::core::metric::MetricAccumulator::default();
+        delta.begin(d, dep, policy);
+        for m in attackers.into_iter().filter(|&m| m != d) {
+            delta.attack(m, strategy);
+            let (lower, upper) = delta.count_happy();
+            acc.add(HappyCount {
+                lower,
+                upper,
+                sources: net.len() - 2,
+            });
         }
+        total.merge(acc);
     }
+    total.value()
 }

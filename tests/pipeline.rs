@@ -13,6 +13,18 @@ fn net() -> Internet {
     Internet::synthetic(1_500, 77)
 }
 
+/// The fake-link metric of one policy at each deployment, in order.
+fn metric(
+    net: &Internet,
+    pairs: &[(AsId, AsId)],
+    deployments: &[Deployment],
+    policy: Policy,
+) -> Vec<Bounds> {
+    let cells = CellSet::per_policy(&[policy], AttackStrategy::FakeLink);
+    let (accs, _) = sweep::metric(net, pairs, deployments, &cells, Parallelism(1));
+    accs[0].iter().map(|a| a.value()).collect()
+}
+
 #[test]
 fn generated_internet_has_paper_shape() {
     let net = net();
@@ -69,7 +81,7 @@ fn baseline_beats_half_and_figures_are_consistent() {
     let policy = Policy::new(SecurityModel::Security2nd);
     let parts = runner::partitions(&net, &pairs, policy, Parallelism(1));
     let everyone = Deployment::full_from_iter(net.len(), net.graph.ases());
-    let h_full = runner::metric(&net, &pairs, &everyone, policy, Parallelism(1));
+    let h_full = metric(&net, &pairs, &[everyone], policy)[0];
     let upper = 1.0 - parts.doomed as f64 / parts.sources() as f64;
     assert!(
         h_full.upper <= upper + 1e-9,
@@ -175,15 +187,18 @@ fn simplex_stub_destinations_still_get_protection() {
         .map(|&m| (m, stub_dest))
         .collect();
     let policy = Policy::new(SecurityModel::Security1st);
-    let h_full = runner::metric(&net, &pairs, &full.deployment, policy, Parallelism(1));
-    let h_simplex = runner::metric(&net, &pairs, &simplex.deployment, policy, Parallelism(1));
-    let h_none = runner::metric(
+    let [h_full, h_simplex, h_none] = metric(
         &net,
         &pairs,
-        &Deployment::empty(net.len()),
+        &[
+            full.deployment.clone(),
+            simplex.deployment.clone(),
+            Deployment::empty(net.len()),
+        ],
         policy,
-        Parallelism(1),
-    );
+    )[..] else {
+        unreachable!("three deployments, three values")
+    };
     assert!(
         h_simplex.lower >= h_none.lower - 1e-9,
         "simplex hurt the stub destination"

@@ -157,6 +157,58 @@ fn malformed_messages_do_not_poison_the_stream() {
     assert_eq!(good, again, "server state was poisoned by bad input");
 }
 
+/// A key that is present but unreadable by the compact scanners is an
+/// error reply, never a silent default: a spaced id list must not read as
+/// an empty secure set, nor a spaced model list as the default `sec3`.
+#[test]
+fn present_but_unreadable_keys_are_errors() {
+    let net = Internet::synthetic(200, 7);
+    let mut planner = Planner::new(net, planner_config(1));
+    let pairs = "\"attackers\":[5],\"destinations\":[9]";
+    for (key, bad) in [
+        (
+            "secure",
+            format!("{{\"op\":\"query\",\"id\":1,\"secure\": [1,2],{pairs}}}"),
+        ),
+        (
+            "secure",
+            format!("{{\"op\":\"query\",\"id\":1,\"secure\":[0, 1, 2],{pairs}}}"),
+        ),
+        (
+            "models",
+            format!("{{\"op\":\"query\",\"id\":1,{pairs},\"models\": [\"sec1\"]}}"),
+        ),
+        (
+            "budget",
+            format!("{{\"op\":\"query\",\"id\":1,{pairs},\"budget\": 50}}"),
+        ),
+        (
+            "variant",
+            format!("{{\"op\":\"query\",\"id\":1,{pairs},\"variant\": \"lp2\"}}"),
+        ),
+    ] {
+        let reply = planner.handle(&bad).expect("error reply");
+        assert!(
+            reply.contains("\"op\":\"error\"") && reply.contains(key),
+            "expected a {key} error for {bad}, got {reply}"
+        );
+    }
+    // The compact spellings of the same queries are answered.
+    for good in [
+        format!("{{\"op\":\"query\",\"id\":1,\"secure\":[1,2],{pairs}}}"),
+        format!("{{\"op\":\"query\",\"id\":1,{pairs},\"models\":[\"sec1\"]}}"),
+    ] {
+        let reply = planner.handle(&good).expect("reply");
+        assert!(reply.contains("\"op\":\"reply\""), "{good}: {reply}");
+    }
+    let sec1 = planner
+        .handle(&format!(
+            "{{\"op\":\"query\",\"id\":1,{pairs},\"models\":[\"sec1\"]}}"
+        ))
+        .expect("reply");
+    assert!(sec1.contains("\"model\":\"sec1\""), "{sec1}");
+}
+
 // ---------------------------------------------------------------------------
 // Subprocess end-to-end (the real binary over real pipes)
 // ---------------------------------------------------------------------------
