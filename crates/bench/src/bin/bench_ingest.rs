@@ -1,8 +1,8 @@
 //! Real-snapshot ingestion benchmark: the full `--file` pipeline at
 //! internet scale — serialize a synthetic graph to CAIDA serial-1 text,
 //! parse it back, compare the bulk sorted-edge CSR build against the
-//! incremental HashMap builder path, then classify tiers and serve one
-//! delta-engine destination group on the loaded snapshot. Emitted as
+//! incremental HashMap builder path, then classify tiers and compute one
+//! destination group on the loaded snapshot. Emitted as
 //! `BENCH_ingest.json` for the perf trajectory and the CI bench-smoke job.
 //!
 //! The headline gate is the adjacency build: [`GraphBuilder::from_edges`]
@@ -23,7 +23,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use sbgp_core::{AttackDeltaEngine, AttackStrategy, Deployment, Policy, SecurityModel};
+use sbgp_core::{AttackScenario, Deployment, Engine, Policy, SecurityModel};
 use sbgp_sim::{sample, Internet};
 use sbgp_topology::{io, AsId, GraphBuilder, Relationship};
 
@@ -233,7 +233,7 @@ fn run_cell(asns: usize, seed: u64, rel_path: &std::path::Path) -> Cell {
     let load_ms = load.as_secs_f64() * 1e3;
     assert_eq!(loaded.content_providers.len(), cp_asns.len());
 
-    // Stage 5: one delta-engine destination group on the loaded snapshot
+    // Stage 5: one destination group on the loaded snapshot
     // (the scale_smoke unit of work: a Tier-2 destination, non-stub
     // attackers, Tier-1 deployment).
     let attackers = sample::sample_non_stubs(&loaded, 40, seed ^ 0x5EED);
@@ -241,15 +241,15 @@ fn run_cell(asns: usize, seed: u64, rel_path: &std::path::Path) -> Cell {
     let dep = Deployment::full_from_iter(loaded.len(), loaded.tiers.tier1().iter().copied());
     let policy = Policy::new(SecurityModel::Security2nd);
     let t0 = Instant::now();
-    let mut delta = AttackDeltaEngine::new(&loaded.graph);
-    delta.begin(d, &dep, policy);
+    let mut engine = Engine::new(&loaded.graph);
     let mut served = 0usize;
     for &m in &attackers {
         if m == d {
             continue;
         }
-        delta.attack(m, AttackStrategy::FakeLink);
-        let (lower, upper) = delta.count_happy();
+        let (lower, upper) = engine
+            .compute(AttackScenario::attack(m, d), &dep, policy)
+            .count_happy();
         assert!(lower <= upper && upper <= loaded.len() - 2);
         served += 1;
     }

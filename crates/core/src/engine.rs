@@ -35,14 +35,13 @@
 //!
 //! **Fused multi-cell passes.** [`Engine::compute_cells`] evaluates a
 //! whole [`crate::CellSet`] of policy cells over one scenario into a
-//! [`crate::MultiOutcome`] (one lane per unique cell, lane-major storage
-//! with a cross-cell dirty bitset): behaviorally identical lanes — same
-//! policy, or models collapsed at a validator-free deployment — share one
-//! computation, and every remaining lane runs the ordinary single-cell
-//! [`Engine::compute`], so fused results are bit-identical to per-cell
-//! computes by construction. The incremental fused engine
-//! ([`crate::FusedDeltaEngine`]) extends the same contract to the
-//! attacker axis with a shared contested-region traversal.
+//! [`crate::MultiOutcome`] (one lane per unique cell): behaviorally
+//! identical lanes — same policy, or models collapsed at a validator-free
+//! deployment — share one computation, and every remaining lane runs the
+//! ordinary single-cell [`Engine::compute`], so fused results are
+//! bit-identical to per-cell computes by construction. This is the only
+//! place lanes collapse; [`crate::FusedDeltaEngine`] serves every attack
+//! through it.
 
 use sbgp_topology::{AsGraph, AsId};
 
@@ -161,10 +160,9 @@ pub struct Engine<'g> {
     /// The scenario's marked AS, if any (for route-traversal tracking).
     mark: Option<AsId>,
     /// When set, every AS fixed by this run is appended to `fix_log`. The
-    /// incremental engines enable this for region solves so that ASes fixed
+    /// sweep engine enables this for region solves so that ASes fixed
     /// *outside* the seeded region (possible only for ASes that were
-    /// unreachable in the base outcome, e.g. an island reachable solely via
-    /// the attacker's bogus announcement) are absorbed into the touched
+    /// unreachable in the previous outcome) are absorbed into the touched
     /// set — keeping the snapshot/undo bookkeeping exact.
     log_fixes: bool,
     fix_log: Vec<u32>,
@@ -248,11 +246,11 @@ impl<'g> Engine<'g> {
     /// group's representative (and with no announcers, the strategy is
     /// moot too). Every remaining lane is served by the ordinary
     /// single-cell [`Engine::compute`], so each lane is bit-identical to a
-    /// dedicated compute of that cell — the per-lane fallback exactness
-    /// contract the fused incremental engines
-    /// ([`crate::FusedDeltaEngine`]) also guarantee.
+    /// dedicated compute of that cell.
     ///
     /// With an empty `attackers` slice the scenario is normal conditions.
+    /// Returns the number of computations run (lanes minus collapsed
+    /// lanes).
     pub fn compute_cells(
         &mut self,
         destination: AsId,
@@ -260,10 +258,11 @@ impl<'g> Engine<'g> {
         deployment: &Deployment,
         cells: &crate::CellSet,
         out: &mut crate::MultiOutcome,
-    ) {
+    ) -> usize {
         let collapse = deployment.full_count() == 0;
         let lanes = cells.lanes();
         out.reset_lanes(lanes.len());
+        let mut computed = 0;
         for (j, cell) in lanes.iter().enumerate() {
             let twin = (0..j).find(|&i| {
                 let c = lanes[i];
@@ -282,8 +281,9 @@ impl<'g> Engine<'g> {
             self.compute(scenario, deployment, cell.policy);
             let happy = self.outcome.count_happy();
             out.set_lane(j, &self.outcome, happy);
+            computed += 1;
         }
-        out.rebuild_dirty();
+        computed
     }
 
     /// Validate inputs and reset the per-run machinery (queues, secure-queue

@@ -31,27 +31,19 @@
 //!   `(m, d, policy)`, recompute outcomes along a monotonically growing
 //!   secure set by re-fixing only a dirty region (rollout curves cost a
 //!   fraction of from-scratch recomputation).
-//! * [`delta`] — the attacker-delta engine: for a fixed `(d, S, policy)`,
-//!   compute the normal-conditions outcome once and serve every attacker
-//!   `m ∈ M` by re-fixing only the contested region around its bogus
-//!   announcement, with a touched-list snapshot restore between attackers.
-//! * [`fused`] — the fused multi-cell pass: one traversal serves every
-//!   policy cell (model × LP variant × strategy rung) of a
-//!   `(destination, deployment)` pair at once, collapsing behaviorally
-//!   identical cells and sharing the contested-region discovery, with a
-//!   per-lane fallback to the single-cell engines that keeps fused
-//!   results bit-identical to per-cell computes.
+//! * [`fused`] — the fused multi-cell pass: one
+//!   [`Engine::compute_cells`] call serves every policy cell (model × LP
+//!   variant × strategy rung) of an `(m, d, S)` scenario, collapsing
+//!   behaviorally identical lanes onto one computation.
 //!
-//! [`sweep`] and [`delta`] are the two axes of one amortization hierarchy
-//! (deployment × attacker); `sbgp-sim` composes them destination-major —
-//! the delta engine anchors each `(m, d)` pair's first step off the
-//! destination's shared normal outcome, and a sweep adopted from that
-//! patch ([`SweepEngine::begin_from`]) carries the remaining deployment
-//! steps — so a whole rollout costs one base fix per destination plus one
-//! anchor patch and `|S|−1` small sweep patches per pair.
+//! `sbgp-sim` composes the two destination-major: the fused pass computes
+//! each `(m, d)` pair's first deployment step, and a sweep adopted from
+//! that outcome ([`SweepEngine::begin_from`]) carries the remaining
+//! deployment steps — so a whole rollout costs one compute per distinct
+//! lane plus `|S|−1` small sweep patches per pair.
 //!
 //! The crate is single-threaded by design; [`Engine`], [`SweepEngine`] and
-//! [`AttackDeltaEngine`] instances hold reusable scratch and the
+//! [`FusedDeltaEngine`] instances hold reusable scratch and the
 //! `sbgp-sim` crate runs one per worker thread to parallelize over
 //! destinations and (attacker, destination) pairs.
 
@@ -60,7 +52,6 @@
 
 pub mod analysis;
 pub mod attack;
-pub mod delta;
 pub mod deployment;
 pub mod engine;
 pub mod fused;
@@ -73,10 +64,9 @@ pub mod sweep;
 
 pub use analysis::{PairAnalysis, PairAnalyzer};
 pub use attack::{AttackScenario, AttackStrategy, MAX_ATTACKERS};
-pub use delta::{AttackDeltaEngine, CachedBase, DeltaStats};
 pub use deployment::Deployment;
 pub use engine::Engine;
-pub use fused::{CellSet, FusedDeltaEngine, FusedStats, PolicyCell};
+pub use fused::{CellSet, DeltaStats, FusedDeltaEngine, FusedStats, PolicyCell};
 pub use metric::{Bounds, HappyCount};
 pub use outcome::{MultiOutcome, Outcome, RootFlags, RouteClass, RouteInfo};
 pub use partition::{Fate, PartitionComputer, PartitionCounts};

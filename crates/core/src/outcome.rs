@@ -15,9 +15,7 @@
 //! reads a single byte stream instead of three parallel arrays.
 //!
 //! For fused multi-cell passes, [`MultiOutcome`] stacks one such outcome
-//! per policy-cell *lane* (lane-major) and keeps a per-AS cross-cell dirty
-//! bitset recording which lanes still differ from the shared lane 0 — see
-//! its type-level docs for the layout and the sharing invariant.
+//! per policy-cell *lane*.
 
 use sbgp_topology::AsId;
 
@@ -127,10 +125,7 @@ pub struct RouteInfo {
 ///
 /// Produced by [`crate::Engine::compute`]; the buffers live inside the
 /// engine and are reused across runs, so the outcome borrows the engine.
-/// `Clone` exists so serving layers can retain an outcome past the
-/// engine's next run — e.g. the planner service caches normal-conditions
-/// outcomes and re-anchors later queries on them through
-/// [`crate::AttackDeltaEngine::begin_from_normal`].
+/// `Clone` retains an outcome past the engine's next run.
 #[derive(Clone, Debug)]
 pub struct Outcome {
     pub(crate) kind: Vec<u8>,
@@ -193,9 +188,9 @@ impl Outcome {
         self.attackers = other.attackers;
     }
 
-    /// Copy only `v`'s entry from `other` — the touched-list undo primitive
-    /// used by [`crate::SweepEngine`] and [`crate::AttackDeltaEngine`] to
-    /// patch or restore a snapshot in `O(touched)` instead of `O(V)`.
+    /// Copy only `v`'s entry from `other` — the touched-list primitive
+    /// [`crate::SweepEngine`] uses to patch its snapshot in `O(touched)`
+    /// instead of `O(V)`.
     #[inline]
     pub(crate) fn copy_entry_from(&mut self, other: &Outcome, v: AsId) {
         let i = v.index();
@@ -407,26 +402,17 @@ impl Outcome {
     }
 }
 
-/// Structure-of-arrays outcome storage for a *set* of policy cells over
-/// the same `(destination, deployment, announcers)` scenario — the lane
-/// store behind [`crate::Engine::compute_cells`] and the fused engine.
+/// Outcome storage for a *set* of policy cells over the same
+/// `(destination, deployment, announcers)` scenario — the lane store
+/// behind [`crate::Engine::compute_cells`] and the fused engine.
 ///
-/// **Lane layout.** Lane `j` holds the complete per-AS state (kind, length,
-/// packed flags byte, next hop — each itself a struct-of-arrays
-/// [`Outcome`]) of the `j`-th unique cell of a [`crate::CellSet`], so all
-/// lanes of one AS are reachable by striding the lane array at a fixed
-/// index: lane-major, AS-minor. Alongside the lanes sits a **cross-cell
-/// dirty bitset**: bit `j` of `dirty[v]` is set exactly when lane `j`'s
-/// entry at `v` differs from lane 0's — i.e. which cells still have the
-/// AS dirty relative to the shared reference lane after the fused pass.
-/// A zero mask means every cell agrees at that AS and one entry serves
-/// them all; on the paper's grids the masks are overwhelmingly zero, which
-/// is the overlap the fused traversal exploits.
+/// Lane `j` holds the complete per-AS state (kind, length, packed flags
+/// byte, next hop — each itself a struct-of-arrays [`Outcome`]) and the
+/// happy bounds of the `j`-th unique cell of a [`crate::CellSet`].
 #[derive(Debug, Default)]
 pub struct MultiOutcome {
     lanes: Vec<Outcome>,
     happy: Vec<(usize, usize)>,
-    dirty: Vec<u64>,
 }
 
 impl MultiOutcome {
@@ -450,18 +436,11 @@ impl MultiOutcome {
         self.happy[j]
     }
 
-    /// The cross-cell dirty mask at `v`: bit `j` set iff lane `j` differs
-    /// from lane 0 at `v` (kind, length, flags byte or next hop).
-    pub fn dirty_mask(&self, v: AsId) -> u64 {
-        self.dirty[v.index()]
-    }
-
     /// Clear and size the store for `lanes` lanes.
     pub(crate) fn reset_lanes(&mut self, lanes: usize) {
         self.lanes.resize_with(lanes, Outcome::new_empty);
         self.happy.clear();
         self.happy.resize(lanes, (0, 0));
-        self.dirty.clear();
     }
 
     /// Store lane `j` by copying `outcome`.
@@ -478,23 +457,6 @@ impl MultiOutcome {
         let (head, tail) = self.lanes.split_at_mut(to);
         tail[0].copy_from(&head[from]);
         self.happy[to] = self.happy[from];
-    }
-
-    /// Rebuild the cross-cell dirty bitset against lane 0.
-    pub(crate) fn rebuild_dirty(&mut self) {
-        let n = self.lanes.first().map_or(0, Outcome::len);
-        self.dirty.clear();
-        self.dirty.resize(n, 0);
-        for j in 1..self.lanes.len() {
-            let (lane0, lane) = (&self.lanes[0], &self.lanes[j]);
-            assert_eq!(lane.len(), n, "lane {j} size mismatch");
-            for i in 0..n {
-                let v = AsId(i as u32);
-                if !lane.same_for_neighbors(lane0, v) || lane.next_hop[i] != lane0.next_hop[i] {
-                    self.dirty[i] |= 1 << j;
-                }
-            }
-        }
     }
 }
 

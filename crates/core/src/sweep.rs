@@ -1,13 +1,12 @@
 //! Incremental deployment sweeps: amortize routing-outcome computation
 //! across a *changing* secure set — growth, retraction, or both at once.
 //!
-//! This is the **deployment axis** of the library's two-axis amortization
-//! hierarchy (see [`crate::delta`] for the attacker axis, and how the two
-//! compose destination-major in `sbgp-sim`). The paper's rollout curves
-//! (Figures 7–13) evaluate the metric along sequences of deployments
-//! `S_0 ⊆ S_1 ⊆ …` and recompute every `(m, d)` routing outcome from
-//! scratch at each step — even though most ASes' best routes are identical
-//! between adjacent steps. [`SweepEngine`] exploits Theorem 2.1 instead:
+//! This is the library's one incremental engine (see the crate docs for
+//! how `sbgp-sim` composes it with the fused pass). The paper's rollout
+//! curves (Figures 7–13) evaluate the metric along sequences of
+//! deployments `S_0 ⊆ S_1 ⊆ …` and recompute every `(m, d)` routing
+//! outcome from scratch at each step — even though most ASes' best routes
+//! are identical between adjacent steps. [`SweepEngine`] exploits Theorem 2.1 instead:
 //! the stable state is **unique** and characterized *locally* (every AS's
 //! route is the best export-legal extension of its neighbors' routes under
 //! [`crate::policy::preference_key`]), so a state that is locally
@@ -231,11 +230,10 @@ impl<'g> SweepEngine<'g> {
     }
 
     /// Start a sweep *mid-flight* from an externally computed outcome —
-    /// typically an [`crate::AttackDeltaEngine`] patch of the sequence's
-    /// first deployment, which is how the attacker and deployment
-    /// amortization axes compose: the delta engine serves `(m, d, S_0)`
-    /// from the destination's shared normal outcome, this hook adopts the
-    /// result, and [`SweepEngine::advance`] carries the remaining steps
+    /// typically a [`crate::FusedDeltaEngine`] lane for the sequence's
+    /// first deployment: the fused pass serves `(m, d, S_0)` for every
+    /// cell, this hook adopts one lane's result, and
+    /// [`SweepEngine::advance`] carries the remaining steps
     /// incrementally.
     ///
     /// `outcome` must be the exact stable outcome for `(scenario, policy)`

@@ -24,9 +24,8 @@ pub struct BaselineResult {
 
 /// Estimate `H_{V,V}(∅)`.
 ///
-/// Rides the destination-major [`sweep::metric`] driver: each sampled
-/// destination's no-attacker outcome is computed once and every attacker
-/// against it is a contested-region patch.
+/// Rides the destination-major [`sweep::metric`] driver: every sampled
+/// pair is one fused attack.
 pub fn baseline_metric(net: &Internet, cfg: &ExperimentConfig) -> BaselineResult {
     let attackers = sample::sample_all(net, cfg.attackers, cfg.seed);
     let destinations = sample::sample_all(net, cfg.destinations, cfg.seed ^ 0xD);

@@ -18,8 +18,7 @@
 //!   hypergiant-skewed traffic model.
 
 use sbgp_core::{
-    AttackDeltaEngine, AttackScenario, AttackStrategy, Bounds, CellSet, Deployment, Policy,
-    SecurityModel,
+    AttackScenario, AttackStrategy, Bounds, CellSet, Deployment, Engine, Policy, SecurityModel,
 };
 use sbgp_proto::{Schedule, Simulator, SourceCensus};
 use sbgp_topology::AsId;
@@ -233,8 +232,8 @@ pub fn islands(net: &Internet, cfg: &ExperimentConfig, outside: SecurityModel) -
 
 /// §4.5 caveat: the baseline metric under uniform vs traffic-skewed
 /// source weights. Destination-major like the unweighted runners: the
-/// weighted sum needs every AS's flags, so each attacker reads the delta
-/// engine's full patched outcome.
+/// weighted sum needs every AS's flags, so each attacker reads a full
+/// [`Engine`] outcome.
 pub fn weighted_baseline(net: &Internet, cfg: &ExperimentConfig) -> Vec<(String, Bounds)> {
     let attackers = sample::sample_non_stubs(net, cfg.attackers, cfg.seed);
     let dests = sample::sample_all(net, cfg.destinations, cfg.seed ^ 0xD);
@@ -246,12 +245,11 @@ pub fn weighted_baseline(net: &Internet, cfg: &ExperimentConfig) -> Vec<(String,
         let (sum, count) = runner::map_reduce(
             cfg.parallelism,
             &groups,
-            || AttackDeltaEngine::new(&net.graph),
+            || Engine::new(&net.graph),
             || (Bounds::default(), 0usize),
-            |delta, acc, (d, ms)| {
-                delta.begin(*d, &empty, policy);
+            |engine, acc, (d, ms)| {
                 for &m in ms {
-                    let o = delta.attack(m, AttackStrategy::FakeLink);
+                    let o = engine.compute(AttackScenario::attack(m, *d), &empty, policy);
                     let b = weights.weighted_happy(o);
                     acc.0.lower += b.lower;
                     acc.0.upper += b.upper;

@@ -57,9 +57,8 @@ pub struct PerDestinationResult {
 /// Evaluate the sorted per-destination series for `step`. Each
 /// destination is one fused `[∅, S]` pass serving all three models: the
 /// `∅` entry is the baseline (identical for every model, since no secure
-/// routes exist, so the models share one computation there), every
-/// attacker is one contested-region patch of it, and each model's sweep
-/// engine carries the attack on to `S`.
+/// routes exist, so the models share one computation there), and each
+/// model's sweep engine carries every attack on to `S`.
 pub fn per_destination(
     net: &Internet,
     cfg: &ExperimentConfig,

@@ -2,11 +2,9 @@
 //! improvements along partial-deployment rollouts.
 //!
 //! Rollouts grow `S` monotonically, so each destination is evaluated as
-//! one [`crate::sweep`] pass over `[∅, S_1, S_2, …]` with both amortization
-//! axes composed: the normal-conditions outcome is patched incrementally
-//! between steps (deployment axis), every attacker is patched into each
-//! step as a contested region (attacker axis), and the `S = ∅` step doubles
-//! as the per-destination baseline. Non-monotone step lists, like the
+//! one [`crate::sweep`] pass over `[∅, S_1, S_2, …]`: each attack is
+//! computed at the first step and patched incrementally between steps,
+//! and the `S = ∅` step doubles as the per-destination baseline. Non-monotone step lists, like the
 //! §5.3.1 early-adopter scenarios, are still exact *and* still
 //! incremental: the engine serves shrinking and mixed steps through its
 //! retraction path, falling back to a full recomputation only on a

@@ -24,7 +24,7 @@
 //!   surfacing the merged [`sbgp_core::SweepStats`];
 //! * [`strategy`] — strategic attackers: per-pair optimal-strategy
 //!   ladders over `k`-hop forged paths, and colluding announcer sets
-//!   served by [`sbgp_core::AttackDeltaEngine::attack_set`];
+//!   served by [`sbgp_core::AttackScenario::colluding`] computes;
 //! * [`stats`] — the statistical estimation subsystem: tier-stratified
 //!   pair sampling with nested without-replacement prefixes, streaming
 //!   per-stratum Welford accumulators, population-weighted recombination
@@ -41,11 +41,10 @@
 //!   no-ops without the `fault-injection` feature) for exercising the
 //!   recovery paths;
 //! * [`serve`] — the deployment-planner what-if service: a long-running
-//!   [`serve::Planner`] that caches normal-conditions outcomes per
-//!   destination (exact-keyed LRU) and answers "what if I deploy at S?"
-//!   queries over length-prefixed JSON frames by serving delta patches
-//!   off the cached bases, with a documented bit-identical determinism
-//!   contract;
+//!   [`serve::Planner`] that answers "what if I deploy at S?" queries over
+//!   length-prefixed JSON frames with fused passes (exact) or the
+//!   stratified estimator (budgeted), with a documented bit-identical
+//!   determinism contract;
 //! * [`experiments`] — one driver per figure/table, returning plain data
 //!   that the `sbgp-bench` binaries print;
 //! * [`report`] — aligned-text table rendering.

@@ -2,32 +2,22 @@
 //!
 //! The paper's whole point is helping operators decide *where* partial
 //! S\*BGP deployment buys security. This module graduates that decision
-//! loop into a long-running server: a [`Planner`] loads one snapshot,
-//! pre-warms and LRU-caches per-destination **normal-conditions
-//! outcomes**, and answers *what-if* queries — "given this secure set
-//! `S`, these suspected attackers, these policy cells: what is my happy
-//! fraction ±CI?" — without ever recomputing a base outcome it has
-//! already seen.
+//! loop into a long-running server: a [`Planner`] loads one snapshot and
+//! answers *what-if* queries — "given this secure set `S`, these
+//! suspected attackers, these policy cells: what is my happy fraction
+//! ±CI?".
 //!
 //! # Serving path
 //!
-//! Every query is served off the engines built in PRs 2–8:
-//!
-//! * each destination's normal-conditions base ([`CachedBase`]: outcome
-//!   plus packed preference keys) is fetched from the cache (keyed by
-//!   the exact `(destination, deployment, policy)` cell) and adopted via
-//!   [`FusedDeltaEngine::begin_with_bases`] /
-//!   [`sbgp_core::AttackDeltaEngine::begin_from_base`], skipping both the
-//!   route computation and the adoption scans; misses are computed once
-//!   and harvested back into the cache;
-//! * each suspected attacker is then a contested-region **patch**, and
-//!   one fused pass serves every `(model, strategy)` cell of the query at
-//!   once;
-//! * when the `attackers × destinations` pair universe is large, the
+//! * Exact queries enumerate every `m ≠ d` pair: per destination, one
+//!   [`FusedDeltaEngine`] attack per suspected attacker serves every
+//!   `(model, strategy)` cell of the query at once.
+//! * When the `attackers × destinations` pair universe is large, the
 //!   query opts into the stratified estimator (`"budget"`): tier-strata,
 //!   Feistel without-replacement sampling, Welford accumulators and
 //!   population-weighted recombination with confidence intervals, all
-//!   from [`crate::stats`].
+//!   from [`crate::stats`], evaluated by the figures' own
+//!   [`SweepCellsEval`] kernel over the query's single deployment.
 //!
 //! # Protocol
 //!
@@ -43,7 +33,7 @@
 //!  "attackers":[4,5],"destinations":[0,6],// suspected pairs (m ≠ d)
 //!  "models":["sec1","sec3"],"variant":"lp","strategies":["fakelink","path2"],
 //!  "budget":0,"seed":42,"deadline_ms":0}  // budget>0 => stratified estimate
-//! {"op":"stats"}                          // cache hit/miss/eviction counters
+//! {"op":"stats"}                          // queries answered so far
 //! {"op":"shutdown"}
 //! ```
 //!
@@ -65,35 +55,30 @@
 //!
 //! # Determinism contract
 //!
-//! Same snapshot + same query ⇒ **bit-identical** reply, at any cache
-//! state and any [`Parallelism`]. Cache adoption is exact (an adopted
-//! normal outcome is bit-identical to a freshly computed one — the
-//! engines are deterministic and `tests/planner.rs` pins it), the exact
-//! path merges per-destination accumulators in item order, and the
-//! estimate path inherits the group-order reduction of [`crate::stats`].
-//! Timing never appears in a reply (the `"stats"` op is the explicitly
-//! cache-state-dependent exception). A `"deadline_ms"` overrun turns the
+//! Same snapshot + same query ⇒ **bit-identical** reply, at any point in
+//! the stream and any [`Parallelism`]: the exact path merges
+//! per-destination accumulators in destination order, and the estimate
+//! path inherits the group-order reduction of [`crate::stats`]
+//! (`tests/planner.rs` pins both). Timing never appears in a reply. A
+//! `"deadline_ms"` overrun turns the
 //! reply into an error frame instead of a partial answer, so successful
 //! replies stay deterministic.
 
-use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sbgp_core::{
-    AttackStrategy, CachedBase, CellSet, Deployment, FusedDeltaEngine, LpVariant, Policy,
-    PolicyCell, SecurityModel,
+    AttackStrategy, CellSet, Deployment, FusedDeltaEngine, LpVariant, Policy, PolicyCell,
+    SecurityModel,
 };
 use sbgp_topology::AsId;
 
 use crate::runner::{map_reduce, Parallelism};
-use crate::stats::{estimate_adaptive_cells_eval, CellEval, EstimatorConfig, PairUniverse};
+use crate::stats::{estimate_adaptive_cells_eval, EstimatorConfig, PairUniverse, SweepCellsEval};
 use crate::supervise::{
     json_str_field, json_u64_field, json_u64s, read_frame, sanitize, write_frame,
 };
 use crate::Internet;
-use sbgp_core::Bounds;
 
 /// Wire-schema tag carried by every planner reply.
 pub const PLANNER_SCHEMA: &str = "planner-v1";
@@ -192,18 +177,17 @@ fn fmt_f64(v: f64) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Configuration and cache
+// Configuration
 // ---------------------------------------------------------------------------
 
 /// Planner-service configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct PlannerConfig {
-    /// LRU capacity of the normal-outcome cache (entries; each holds one
-    /// per-AS outcome, so memory is `O(capacity × n)`).
+    /// Inert. Kept only because `perfbench/` builds this struct; the next
+    /// benchmark change removes it.
     pub cache_capacity: usize,
-    /// Destinations to pre-warm at boot: baseline (`S = ∅`) Sec-3rd/LP
-    /// normal outcomes for the content providers first, then the lowest
-    /// ids — the cells baseline what-if queries hit first.
+    /// Inert. Kept only because `perfbench/` builds this struct; the next
+    /// benchmark change removes it.
     pub prewarm: usize,
     /// Worker threads for query evaluation (replies are bit-identical at
     /// any value).
@@ -220,92 +204,18 @@ impl Default for PlannerConfig {
     }
 }
 
-/// Cache hit/miss counters (the `"stats"` op's payload).
+/// The return type of [`Planner::cache_stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Base computations served from the cache.
+    /// Always zero. Kept only because `perfbench/` reads it; the next
+    /// benchmark change removes it.
     pub hits: u64,
-    /// Base computations that had to run (and were then cached).
+    /// Always zero. Kept only because `perfbench/` reads it; the next
+    /// benchmark change removes it.
     pub misses: u64,
-    /// Entries evicted by the LRU policy.
+    /// Always zero. Kept only because `perfbench/` reads it; the next
+    /// benchmark change removes it.
     pub evictions: u64,
-}
-
-/// Exact identity of a cached normal-conditions outcome. Keys compare the
-/// *full* deployment member lists (not a hash of them), so a cache hit can
-/// never serve a different cell's outcome — the bit-identical-at-any-
-/// cache-state contract rests on this.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-struct CacheKey {
-    dest: AsId,
-    policy: Policy,
-    full: Vec<AsId>,
-    simplex: Vec<AsId>,
-}
-
-struct CacheEntry {
-    base: Arc<CachedBase>,
-    stamp: u64,
-}
-
-/// LRU cache of normal-conditions outcomes.
-struct NormalCache {
-    capacity: usize,
-    clock: u64,
-    entries: HashMap<CacheKey, CacheEntry>,
-    stats: CacheStats,
-}
-
-impl NormalCache {
-    fn new(capacity: usize) -> NormalCache {
-        NormalCache {
-            capacity: capacity.max(1),
-            clock: 0,
-            entries: HashMap::new(),
-            stats: CacheStats::default(),
-        }
-    }
-
-    /// Fetch (and refresh) an entry, counting a hit or miss.
-    fn get(&mut self, key: &CacheKey) -> Option<&Arc<CachedBase>> {
-        self.clock += 1;
-        match self.entries.get_mut(key) {
-            Some(e) => {
-                e.stamp = self.clock;
-                self.stats.hits += 1;
-                Some(&e.base)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Insert a freshly computed base, evicting the least recently used
-    /// entry when over capacity.
-    fn insert(&mut self, key: CacheKey, base: Arc<CachedBase>) {
-        self.clock += 1;
-        let stamp = self.clock;
-        self.entries.insert(key, CacheEntry { base, stamp });
-        while self.entries.len() > self.capacity {
-            if let Some(victim) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| k.clone())
-            {
-                self.entries.remove(&victim);
-                self.stats.evictions += 1;
-            }
-        }
-    }
-
-    /// Probe without touching the counters or the LRU order (used when
-    /// pre-extracting bases for a parallel pass decided elsewhere).
-    fn peek(&self, key: &CacheKey) -> bool {
-        self.entries.contains_key(key)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -480,83 +390,6 @@ impl Query {
             .collect();
         CellSet::grid(&policies, &self.strategies)
     }
-
-    /// Canonical member lists for the cache key (sorted, simplex minus
-    /// full — the same normalization [`Deployment`] applies).
-    fn canonical_sets(&self) -> (Vec<AsId>, Vec<AsId>) {
-        let mut full = self.secure.clone();
-        full.sort_unstable();
-        full.dedup();
-        let mut simplex: Vec<AsId> = self
-            .simplex
-            .iter()
-            .copied()
-            .filter(|v| full.binary_search(v).is_err())
-            .collect();
-        simplex.sort_unstable();
-        simplex.dedup();
-        (full, simplex)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Estimate-path kernel
-// ---------------------------------------------------------------------------
-
-/// [`CellEval`] kernel for one query's `(model × strategy)` grid under a
-/// single deployment, with cached-base adoption: sampled destination
-/// groups whose normal outcome is already cached anchor through
-/// [`FusedDeltaEngine::begin_with_bases`]. (The estimate path reads the
-/// cache but does not populate it — harvested bases would arrive in
-/// sample order, not query order.)
-struct GridCellsEval<'a> {
-    net: &'a Internet,
-    deployment: &'a Deployment,
-    cells: CellSet,
-    bases: HashMap<AsId, Vec<(Policy, Arc<CachedBase>)>>,
-    sources: f64,
-}
-
-impl<'a> CellEval for GridCellsEval<'a> {
-    type Worker = FusedDeltaEngine<'a>;
-
-    fn cell_stats(&self) -> Vec<usize> {
-        vec![1; self.cells.input_len()]
-    }
-
-    fn make_worker(&self) -> Self::Worker {
-        FusedDeltaEngine::new(&self.net.graph, self.cells.clone())
-    }
-
-    fn begin(&self, w: &mut Self::Worker, d: AsId) {
-        match self.bases.get(&d) {
-            Some(bases) => w.begin_with_bases(d, self.deployment, |p| {
-                bases.iter().find(|(q, _)| *q == p).map(|(_, o)| &**o)
-            }),
-            None => w.begin(d, self.deployment),
-        }
-    }
-
-    fn eval_pair(
-        &self,
-        w: &mut Self::Worker,
-        m: AsId,
-        _d: AsId,
-        emit: &mut dyn FnMut(usize, usize, Bounds),
-    ) {
-        w.attack(m);
-        for c in 0..self.cells.input_len() {
-            let (lower, upper) = w.count_happy(c);
-            emit(
-                c,
-                0,
-                Bounds {
-                    lower: lower as f64 / self.sources,
-                    upper: upper as f64 / self.sources,
-                },
-            );
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -574,22 +407,12 @@ struct CellAnswer {
     pairs: u64,
 }
 
-/// Exact-path per-destination work item: the destination plus the cached
-/// bases extracted for it (cloned up front so the parallel pass never
-/// borrows the cache).
-struct DestItem {
-    dest: AsId,
-    attackers: Vec<AsId>,
-    bases: Vec<(Policy, Arc<CachedBase>)>,
-}
-
 /// Exact-path accumulator, merged in item order (deterministic at any
 /// [`Parallelism`]).
 struct ExactAcc {
     lower: Vec<f64>,
     upper: Vec<f64>,
     pairs: u64,
-    harvest: Vec<(AsId, Policy, Arc<CachedBase>)>,
     timed_out: bool,
 }
 
@@ -599,7 +422,6 @@ impl ExactAcc {
             lower: vec![0.0; cells],
             upper: vec![0.0; cells],
             pairs: 0,
-            harvest: Vec::new(),
             timed_out: false,
         }
     }
@@ -612,35 +434,27 @@ impl ExactAcc {
             *a += b;
         }
         self.pairs += o.pairs;
-        self.harvest.extend(o.harvest);
         self.timed_out |= o.timed_out;
     }
 }
 
-/// The long-running what-if service: one snapshot, an LRU cache of
-/// normal-conditions outcomes, and a deterministic query loop. See the
-/// module docs for the protocol and the determinism contract.
+/// The long-running what-if service: one snapshot and a deterministic
+/// query loop. See the module docs for the protocol and the determinism
+/// contract.
 pub struct Planner {
     net: Internet,
     cfg: PlannerConfig,
-    cache: NormalCache,
-    prewarmed: usize,
     queries: u64,
 }
 
 impl Planner {
-    /// Build the service and pre-warm the cache
-    /// ([`PlannerConfig::prewarm`]).
+    /// Build the service.
     pub fn new(net: Internet, cfg: PlannerConfig) -> Planner {
-        let mut planner = Planner {
-            cache: NormalCache::new(cfg.cache_capacity),
+        Planner {
             net,
             cfg,
-            prewarmed: 0,
             queries: 0,
-        };
-        planner.prewarm();
-        planner
+        }
     }
 
     /// The served snapshot.
@@ -648,66 +462,18 @@ impl Planner {
         &self.net
     }
 
-    /// Cache counters (hits/misses/evictions so far).
+    /// All-zero counters. Kept only because `perfbench/` reads them; the
+    /// next benchmark change removes it.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats
-    }
-
-    /// Pre-warm baseline (`S = ∅`) Sec-3rd/LP normal outcomes: content
-    /// providers first, then the lowest ids, up to the configured count.
-    fn prewarm(&mut self) {
-        let want = self.cfg.prewarm.min(self.net.len());
-        if want == 0 {
-            return;
-        }
-        let n = self.net.len();
-        let mut dests: Vec<AsId> = Vec::with_capacity(want);
-        for &cp in &self.net.content_providers {
-            if dests.len() == want {
-                break;
-            }
-            if !dests.contains(&cp) {
-                dests.push(cp);
-            }
-        }
-        for v in self.net.graph.ases() {
-            if dests.len() == want {
-                break;
-            }
-            if !dests.contains(&v) {
-                dests.push(v);
-            }
-        }
-        let dep = Deployment::empty(n);
-        let policy = Policy::new(SecurityModel::Security3rd);
-        let mut delta = sbgp_core::AttackDeltaEngine::new(&self.net.graph);
-        for d in dests {
-            delta.begin(d, &dep, policy);
-            self.cache.insert(
-                CacheKey {
-                    dest: d,
-                    policy,
-                    full: Vec::new(),
-                    simplex: Vec::new(),
-                },
-                Arc::new(delta.export_base()),
-            );
-            self.prewarmed += 1;
-        }
-        // Pre-warming is boot work, not query traffic: reset the counters
-        // so `"stats"` reflects serving behavior only.
-        self.cache.stats = CacheStats::default();
+        CacheStats::default()
     }
 
     /// The `{"op":"ready",...}` hello frame payload.
     pub fn hello(&self) -> String {
         format!(
-            "{{\"op\":\"ready\",\"schema\":\"{PLANNER_SCHEMA}\",\"graph\":\"{}\",\"asns\":{},\
-             \"cache_capacity\":{},\"prewarmed\":{}}}",
+            "{{\"op\":\"ready\",\"schema\":\"{PLANNER_SCHEMA}\",\"graph\":\"{}\",\"asns\":{}}}",
             sanitize(&self.net.name),
-            self.net.len(),
-            self.cfg.cache_capacity,
-            self.prewarmed
+            self.net.len()
         )
     }
 
@@ -728,18 +494,10 @@ impl Planner {
         };
         match op {
             "shutdown" => None,
-            "stats" => {
-                let s = self.cache.stats;
-                Some(format!(
-                    "{{\"op\":\"stats\",\"schema\":\"{PLANNER_SCHEMA}\",\"hits\":{},\"misses\":{},\
-                     \"evictions\":{},\"entries\":{},\"queries\":{}}}",
-                    s.hits,
-                    s.misses,
-                    s.evictions,
-                    self.cache.entries.len(),
-                    self.queries
-                ))
-            }
+            "stats" => Some(format!(
+                "{{\"op\":\"stats\",\"schema\":\"{PLANNER_SCHEMA}\",\"queries\":{}}}",
+                self.queries
+            )),
             "query" => {
                 let id = json_u64_field(text, "id").unwrap_or(0);
                 match Query::parse(text, self.net.len()) {
@@ -796,78 +554,35 @@ impl Planner {
         }
     }
 
-    /// Exact path: enumerate every `m ≠ d` pair, one fused pass per
-    /// destination, bases adopted from (and harvested into) the cache.
+    /// Exact path: enumerate every `m ≠ d` pair, one fused engine per
+    /// worker, destinations merged in query order.
     #[allow(clippy::type_complexity)]
     fn answer_exact(
-        &mut self,
+        &self,
         q: &Query,
         deadline: Option<Instant>,
     ) -> Result<(&'static str, u64, u64, Vec<CellAnswer>), String> {
         let n = self.net.len();
         let dep = q.deployment(n);
         let cells = q.cell_set();
-        let (full, simplex) = q.canonical_sets();
-        let key_of = |dest: AsId, policy: Policy| CacheKey {
-            dest,
-            policy,
-            full: full.clone(),
-            simplex: simplex.clone(),
-        };
-
-        // Pre-extract cached bases per destination (cloned, so the
-        // parallel pass owns its inputs). Probing every lane policy
-        // covers the model-collapse representatives too: a group's
-        // representative is always some lane's policy.
-        let lane_policies: Vec<Policy> = {
-            let mut ps: Vec<Policy> = cells.lanes().iter().map(|c| c.policy).collect();
-            ps.dedup();
-            ps
-        };
-        let items: Vec<DestItem> = q
-            .destinations
-            .iter()
-            .map(|&d| {
-                let mut bases = Vec::new();
-                for &p in &lane_policies {
-                    let key = key_of(d, p);
-                    if let Some(base) = self.cache.get(&key) {
-                        bases.push((p, base.clone()));
-                    }
-                }
-                DestItem {
-                    dest: d,
-                    attackers: q.attackers.clone(),
-                    bases,
-                }
-            })
-            .collect();
-
         let sources = (n - 2) as f64;
         let graph = &self.net.graph;
         let ncells = cells.input_len();
         let acc = map_reduce(
             self.cfg.parallelism,
-            &items,
+            &q.destinations,
             || FusedDeltaEngine::new(graph, cells.clone()),
             || ExactAcc::new(ncells),
-            |fused, acc, item| {
+            |fused, acc, &d| {
                 if let Some(dl) = deadline {
                     if Instant::now() >= dl {
                         acc.timed_out = true;
                         return;
                     }
                 }
-                fused.begin_with_bases(item.dest, &dep, |p| {
-                    item.bases.iter().find(|(q, _)| *q == p).map(|(_, o)| &**o)
-                });
-                for (p, base) in fused.export_bases() {
-                    if !item.bases.iter().any(|(q, _)| *q == p) {
-                        acc.harvest.push((item.dest, p, Arc::new(base)));
-                    }
-                }
-                for &m in &item.attackers {
-                    if m == item.dest {
+                fused.begin(d, &dep);
+                for &m in &q.attackers {
+                    if m == d {
                         continue;
                     }
                     fused.attack(m);
@@ -888,16 +603,6 @@ impl Planner {
                 q.deadline_ms.unwrap_or(0)
             ));
         }
-        // Harvest misses into the cache, in item order. `peek` guards the
-        // rare case where two destinations... cannot collide (keys carry
-        // the destination), but re-inserting a prewarmed entry twice
-        // would double-count nothing either way.
-        for (d, p, base) in acc.harvest {
-            let key = key_of(d, p);
-            if !self.cache.peek(&key) {
-                self.cache.insert(key, base);
-            }
-        }
         let answers = (0..ncells)
             .map(|c| CellAnswer {
                 cell: cells.lanes()[cells.lane_of(c)],
@@ -915,7 +620,7 @@ impl Planner {
     /// query's budget and seed; confidence half-widths come back per cell.
     #[allow(clippy::type_complexity)]
     fn answer_estimate(
-        &mut self,
+        &self,
         q: &Query,
         budget: u64,
         deadline: Option<Instant>,
@@ -930,44 +635,13 @@ impl Planner {
                 ));
             }
         }
-        let n = self.net.len();
-        let dep = q.deployment(n);
+        let dep = q.deployment(self.net.len());
         let cells = q.cell_set();
-        let (full, simplex) = q.canonical_sets();
-        let lane_policies: Vec<Policy> = {
-            let mut ps: Vec<Policy> = cells.lanes().iter().map(|c| c.policy).collect();
-            ps.dedup();
-            ps
-        };
-        let mut bases: HashMap<AsId, Vec<(Policy, Arc<CachedBase>)>> = HashMap::new();
-        for &d in &q.destinations {
-            let mut found = Vec::new();
-            for &p in &lane_policies {
-                let key = CacheKey {
-                    dest: d,
-                    policy: p,
-                    full: full.clone(),
-                    simplex: simplex.clone(),
-                };
-                if let Some(base) = self.cache.get(&key) {
-                    found.push((p, base.clone()));
-                }
-            }
-            if !found.is_empty() {
-                bases.insert(d, found);
-            }
-        }
         let universe = PairUniverse::new(&self.net, &q.attackers, &q.destinations);
         if universe.population() == 0 {
             return Err("no valid pairs in the estimation universe".into());
         }
-        let eval = GridCellsEval {
-            net: &self.net,
-            deployment: &dep,
-            cells: cells.clone(),
-            bases,
-            sources: (n - 2).max(1) as f64,
-        };
+        let eval = SweepCellsEval::with_cells(&self.net, std::slice::from_ref(&dep), cells.clone());
         let cfg = EstimatorConfig::with_budget(budget, q.seed);
         let runs = estimate_adaptive_cells_eval(&universe, &cfg, &eval, self.cfg.parallelism);
         let mut pairs = 0;
@@ -1115,61 +789,27 @@ mod tests {
     }
 
     #[test]
-    fn cache_serves_repeat_queries() {
+    fn ready_and_stats_frames() {
         let mut planner = Planner::new(tiny(), PlannerConfig::default());
+        assert_eq!(
+            planner.hello(),
+            format!(
+                "{{\"op\":\"ready\",\"schema\":\"{PLANNER_SCHEMA}\",\"graph\":\"{}\",\
+                 \"asns\":200}}",
+                planner.net().name
+            )
+        );
         let q = "{\"op\":\"query\",\"id\":1,\"secure\":[1,2,3],\"attackers\":[5,6],\
                  \"destinations\":[9,10]}";
         let first = planner.handle(q).unwrap();
-        let s0 = planner.cache_stats();
-        assert_eq!(s0.hits, 0);
-        assert!(s0.misses > 0);
-        let second = planner.handle(q).unwrap();
-        let s1 = planner.cache_stats();
-        assert_eq!(first, second, "cache state changed the reply");
-        assert_eq!(s1.misses, s0.misses, "warm query recomputed a base");
-        assert!(s1.hits > 0);
-    }
-
-    #[test]
-    fn eviction_keeps_replies_identical() {
-        let cfg = PlannerConfig {
-            cache_capacity: 1,
-            ..PlannerConfig::default()
-        };
-        let mut small = Planner::new(tiny(), cfg);
-        let mut big = Planner::new(tiny(), PlannerConfig::default());
-        let queries = [
-            "{\"op\":\"query\",\"id\":1,\"attackers\":[5],\"destinations\":[9,10,11]}",
-            "{\"op\":\"query\",\"id\":2,\"attackers\":[5],\"destinations\":[9]}",
-            "{\"op\":\"query\",\"id\":3,\"attackers\":[5],\"destinations\":[11,9]}",
-        ];
-        for q in queries {
-            assert_eq!(small.handle(q), big.handle(q), "{q}");
-        }
-        assert!(
-            small.cache_stats().evictions > 0,
-            "capacity 1 never evicted"
+        assert_eq!(
+            planner.handle(q).unwrap(),
+            first,
+            "repeat changed the reply"
         );
-    }
-
-    #[test]
-    fn prewarm_counts_and_stats_op() {
-        let cfg = PlannerConfig {
-            prewarm: 20,
-            ..PlannerConfig::default()
-        };
-        let mut planner = Planner::new(tiny(), cfg);
-        assert!(planner.hello().contains("\"prewarmed\":20"));
-        let stats = planner.handle("{\"op\":\"stats\"}").unwrap();
-        assert!(stats.contains("\"hits\":0"), "{stats}");
-        assert!(stats.contains("\"entries\":20"), "{stats}");
-        // A baseline sec3 query over prewarmed destinations is all hits.
-        let cp = planner.net().content_providers[0].0;
-        let q = format!("{{\"op\":\"query\",\"id\":1,\"attackers\":[5],\"destinations\":[{cp}]}}");
-        let reply = planner.handle(&q).unwrap();
-        assert!(reply.contains("\"op\":\"reply\""), "{reply}");
-        let s = planner.cache_stats();
-        assert_eq!(s.misses, 0, "prewarmed destination missed");
-        assert!(s.hits > 0);
+        assert_eq!(
+            planner.handle("{\"op\":\"stats\"}").unwrap(),
+            format!("{{\"op\":\"stats\",\"schema\":\"{PLANNER_SCHEMA}\",\"queries\":2}}")
+        );
     }
 }

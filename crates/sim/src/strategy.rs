@@ -24,15 +24,14 @@
 //! [`sbgp_core::CellSet`] deduped
 //! through [`AttackStrategy::canonical`] (so the `path1`/fake-link and
 //! `path0`/hijack spellings can never run the same cell twice), every
-//! attack serves all policies' whole ladders from one shared
-//! contested-region traversal, and duplicate rungs report their shared
-//! lane's value — with ties still going to the earlier input rung, win
-//! attribution is unchanged. [`metric_collusion`] keeps a plain
-//! [`AttackDeltaEngine`] (one cell per call, and the set-aware source
-//! count).
+//! attack serves all policies' whole ladders from one fused pass, and
+//! duplicate rungs report their shared lane's value — with ties still
+//! going to the earlier input rung, win attribution is unchanged.
+//! [`metric_collusion`] runs a plain [`Engine`] (one cell per call, and
+//! the set-aware source count).
 
 use sbgp_core::metric::MetricAccumulator;
-use sbgp_core::{AttackDeltaEngine, AttackStrategy, Bounds, Deployment, HappyCount, Policy};
+use sbgp_core::{AttackScenario, AttackStrategy, Bounds, Deployment, Engine, HappyCount, Policy};
 use sbgp_topology::AsId;
 
 use crate::runner::{map_reduce, Parallelism};
@@ -176,7 +175,7 @@ pub fn metric_collusion(
     let acc = map_reduce(
         par,
         destinations,
-        || AttackDeltaEngine::new(&net.graph),
+        || Engine::new(&net.graph),
         || {
             (
                 MetricAccumulator::default(), // colluding
@@ -184,17 +183,16 @@ pub fn metric_collusion(
                 MetricAccumulator::default(), // all solos
             )
         },
-        |delta, acc, &d| {
-            delta.begin(d, deployment, policy);
+        |engine, acc, &d| {
             for set in sets {
-                let members = sbgp_core::AttackScenario::filter_announcers(set, d);
+                let members = AttackScenario::filter_announcers(set, d);
                 if members.len() < 2 {
                     continue;
                 }
                 let mut best = (usize::MAX, usize::MAX);
                 for &m in &members {
-                    delta.attack(m, strategy);
-                    let (lower, upper) = delta.count_happy();
+                    let scenario = AttackScenario::attack(m, d).with_strategy(strategy);
+                    let (lower, upper) = engine.compute(scenario, deployment, policy).count_happy();
                     acc.2.add(HappyCount {
                         lower,
                         upper,
@@ -207,8 +205,8 @@ pub fn metric_collusion(
                     upper: best.1,
                     sources: n - 2,
                 });
-                delta.attack_set(&members, strategy);
-                let (lower, upper) = delta.count_happy();
+                let scenario = AttackScenario::colluding(&members, d).with_strategy(strategy);
+                let (lower, upper) = engine.compute(scenario, deployment, policy).count_happy();
                 acc.0.add(HappyCount {
                     lower,
                     upper,
@@ -323,17 +321,29 @@ mod tests {
         );
         assert!(r.cells > 0);
         assert!(r.best_single.lower <= r.solo.lower + 1e-12, "min ≤ mean");
-        // Spot-check one cell against the engine directly.
+        // Spot-check one cell against the engine directly, with the
+        // set-aware source count.
         let d = dests[0];
         let members: Vec<AsId> = sets[0].iter().copied().filter(|&m| m != d).collect();
         if members.len() == 2 {
+            let one = metric_collusion(
+                &net,
+                &sets[..1],
+                &[d],
+                &dep,
+                policy,
+                AttackStrategy::FakeLink,
+                Parallelism(1),
+            );
             let mut engine = Engine::new(&net.graph);
             let scenario = sbgp_core::AttackScenario::colluding(&members, d);
-            let want = engine.compute(scenario, &dep, policy).count_happy();
-            let mut delta = AttackDeltaEngine::new(&net.graph);
-            delta.begin(d, &dep, policy);
-            delta.attack_set(&members, AttackStrategy::FakeLink);
-            assert_eq!(delta.count_happy(), want);
+            let (lower, upper) = engine.compute(scenario, &dep, policy).count_happy();
+            let want = HappyCount {
+                lower,
+                upper,
+                sources: net.len() - 1 - members.len(),
+            };
+            assert_eq!(one.colluding, want.fraction());
         }
     }
 }

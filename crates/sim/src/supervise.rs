@@ -58,9 +58,22 @@ use crate::stats::{
 /// Upper bound on a frame payload; anything larger is protocol garbage.
 const MAX_FRAME: u32 = 256 * 1024 * 1024;
 
-/// Write one length-prefixed (u32 big-endian) UTF-8 frame.
+/// The length prefix of a `payload_len`-byte frame, or `InvalidInput`
+/// when [`read_frame`] would reject the frame (over `MAX_FRAME`).
+fn frame_len(payload_len: usize) -> std::io::Result<u32> {
+    match u32::try_from(payload_len) {
+        Ok(len) if len <= MAX_FRAME => Ok(len),
+        _ => Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("frame payload of {payload_len} bytes exceeds the {MAX_FRAME}-byte cap"),
+        )),
+    }
+}
+
+/// Write one length-prefixed (u32 big-endian) UTF-8 frame. A payload over
+/// the cap [`read_frame`] enforces is refused before any byte is written.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> std::io::Result<()> {
-    let len = payload.len() as u32;
+    let len = frame_len(payload.len())?;
     w.write_all(&len.to_be_bytes())?;
     w.write_all(payload.as_bytes())?;
     w.flush()
@@ -977,6 +990,14 @@ mod tests {
         bad.extend_from_slice(&u32::MAX.to_be_bytes());
         let mut r = &bad[..];
         assert!(read_frame(&mut r).is_err());
+    }
+
+    #[test]
+    fn oversized_frames_are_refused_before_writing() {
+        assert_eq!(frame_len(MAX_FRAME as usize).unwrap(), MAX_FRAME);
+        let err = frame_len(MAX_FRAME as usize + 1).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(frame_len(usize::MAX).is_err(), "lengths must not wrap");
     }
 
     #[test]

@@ -4,24 +4,21 @@
 //! the plain metric `H_{M,D}(S)`; the figure drivers use nothing else.
 //!
 //! Both drivers evaluate destination-major through the crate's one
-//! per-pair kernel, [`SweepCellsEval`], so **both amortization axes
-//! compose**. For every claimed destination a worker fixes the
-//! normal-conditions outcome of the first deployment once, then iterates
-//! `for m (one fused attack serving every lane's first step) → for S_k
-//! (each lane's sweep along the remaining steps)`:
+//! per-pair kernel, [`SweepCellsEval`]. For every claimed destination a
+//! worker iterates `for m (one fused attack serving every lane's first
+//! step) → for S_k (each lane's sweep along the remaining steps)`:
 //!
-//! * the [`sbgp_core::FusedDeltaEngine`] serves each pair's **first step**
-//!   from the destination's shared normal outcome, patching the contested
-//!   region or falling back to a fresh compute when the region is large;
+//! * the [`sbgp_core::FusedDeltaEngine`] computes each pair's **first
+//!   step** for every lane at once, collapsing identical lanes;
 //! * a per-lane [`sbgp_core::SweepEngine`] adopts that outcome, and the
 //!   remaining steps ride the deployment axis, whose dirty regions are
 //!   tiny (~4% of AS-steps) because the bogus announcement's spread is
-//!   *shared* between consecutive steps instead of being re-patched per
+//!   *shared* between consecutive steps instead of being recomputed per
 //!   step.
 //!
 //! This ordering keeps the cheaper axis innermost; the transposed
-//! `for S_k → for m` order would re-patch the attacker's whole contested
-//! region into every step. Sequences may churn in any direction — grow,
+//! `for S_k → for m` order would recompute every attack at every step.
+//! Sequences may churn in any direction — grow,
 //! shrink, or both per step — and still ride the deployment axis
 //! incrementally; only a dirty-region blow-up falls back to a full
 //! recomputation, and both drivers return the merged [`SweepStats`]
@@ -30,8 +27,8 @@
 //!
 //! Every `(cell, step)` result is bit-identical to a fresh computation of
 //! that cell at that step folded in the same order: the per-outcome
-//! version of this claim is pinned by the sweep-, fused- and
-//! delta-equivalence property suites, and the fold order is fixed by
+//! version of this claim is pinned by the sweep- and fused-equivalence
+//! property suites, and the fold order is fixed by
 //! [`crate::runner::map_reduce`].
 
 use sbgp_core::metric::MetricAccumulator;

@@ -19,11 +19,11 @@
 //! Set `PLANNER_BIN` to point at an explicit server binary; otherwise it
 //! is derived from this example's own target directory.
 //!
-//! The script exercises the serving path end to end: a cold query, an
-//! exact repeat (served entirely from cache — byte-identical reply), a
-//! query mixing cached and uncached destinations, a deliberately
-//! malformed frame (the server must answer with a clean error and keep
-//! serving), a stratified estimate, the cache-stats op, and shutdown.
+//! The script exercises the serving path end to end: a query, an exact
+//! repeat (byte-identical reply), a query over a superset of its
+//! destinations, a deliberately malformed frame (the server must answer
+//! with a clean error and keep serving), a stratified estimate, the
+//! stats op, and shutdown.
 
 use std::io::{BufReader, BufWriter};
 use std::path::PathBuf;
@@ -87,19 +87,19 @@ fn main() {
     // of the id space, content destinations among the core.
     let (m1, m2) = (n - 1, n - 2);
     let script: Vec<String> = vec![
-        // Cold: every destination's base outcome is computed and cached.
+        // The baseline what-if.
         format!(
             "{{\"op\":\"query\",\"id\":1,\"secure\":[0,1,2,3,4],\"simplex\":[5],\
              \"attackers\":[{m1},{m2}],\"destinations\":[0,1],\
              \"models\":[\"sec1\",\"sec3\"],\"strategies\":[\"fakelink\",\"hijack\"]}}"
         ),
-        // Exact repeat: served off the cache, reply must be identical.
+        // Exact repeat: the reply must be identical.
         format!(
             "{{\"op\":\"query\",\"id\":2,\"secure\":[0,1,2,3,4],\"simplex\":[5],\
              \"attackers\":[{m1},{m2}],\"destinations\":[0,1],\
              \"models\":[\"sec1\",\"sec3\"],\"strategies\":[\"fakelink\",\"hijack\"]}}"
         ),
-        // Mixed: destinations 0,1 are cached, 6,7 are not.
+        // Two more destinations on top of the first query's.
         format!(
             "{{\"op\":\"query\",\"id\":3,\"secure\":[0,1,2,3,4],\"simplex\":[5],\
              \"attackers\":[{m1},{m2}],\"destinations\":[0,1,6,7],\

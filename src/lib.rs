@@ -58,10 +58,10 @@ pub use sbgp_topology as topology;
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
     pub use sbgp_core::{
-        AttackDeltaEngine, AttackScenario, AttackStrategy, Bounds, CellSet, DeltaStats, Deployment,
-        Engine, Fate, FusedDeltaEngine, FusedStats, HappyCount, LpVariant, MultiOutcome, Outcome,
-        PairAnalysis, PairAnalyzer, PartitionComputer, Policy, PolicyCell, RouteClass,
-        SecurityModel, SweepEngine, SweepStats,
+        AttackScenario, AttackStrategy, Bounds, CellSet, DeltaStats, Deployment, Engine, Fate,
+        FusedDeltaEngine, FusedStats, HappyCount, LpVariant, MultiOutcome, Outcome, PairAnalysis,
+        PairAnalyzer, PartitionComputer, Policy, PolicyCell, RouteClass, SecurityModel,
+        SweepEngine, SweepStats,
     };
     pub use sbgp_sim::{runner, sample, scenario, stats, sweep, Internet, Parallelism};
     pub use sbgp_topology::{AsGraph, AsId, AsSet, GraphBuilder};

@@ -1,20 +1,18 @@
 //! The fused multi-cell equivalence property suite: on random
 //! valley-free graphs, one fused pass over a whole policy grid —
-//! [`Engine::compute_cells`] for snapshot computes, [`FusedDeltaEngine`]
-//! for the incremental attacker loop — must reproduce a dedicated
-//! per-cell computation **bit for bit** (route class, length, flags,
+//! [`Engine::compute_cells`] directly, and [`FusedDeltaEngine`] as the
+//! per-worker attacker loop — must reproduce a dedicated per-cell
+//! [`Engine::compute`] **bit for bit** (route class, length, flags,
 //! representative next hop, and happy bounds) for every input cell of the
 //! grid: all three security models, the `LP2`/`LPinf` variants, the full
 //! `FakePath` ladder plus the duplicate `FakeLink`/`OriginHijack`
 //! spellings, and colluding announcer sets via
-//! [`FusedDeltaEngine::attack_set`]. `tests/delta_equivalence.rs` pins
-//! the solo [`AttackDeltaEngine`] against fresh computes, so checking the
-//! fused engine against the solo delta closes the chain fused ≡ delta ≡
-//! engine ≡ simulated S*BGP. A fixed-seed determinism test additionally
-//! pins the fused destination-major driver (`sweep::metric`, one
-//! deployment and a whole sweep) bit-identical across thread counts, to
-//! its single-cell calls, and (one deployment) to a solo
-//! [`AttackDeltaEngine`] fold.
+//! [`FusedDeltaEngine::attack_set`]. `tests/equivalence.rs` pins the
+//! engine against simulated S*BGP, closing the chain fused ≡ engine ≡
+//! simulation. A fixed-seed determinism test additionally pins the fused
+//! destination-major driver (`sweep::metric`, one deployment and a whole
+//! sweep) bit-identical across thread counts, to its single-cell calls,
+//! and (one deployment) to a per-pair [`Engine::compute`] fold.
 
 use proptest::prelude::*;
 
@@ -130,8 +128,8 @@ fn assert_outcomes_match(got: &Outcome, want: &Outcome, graph: &AsGraph, ctx: &s
 }
 
 /// One fused snapshot pass ([`Engine::compute_cells`]) vs a dedicated
-/// [`Engine::compute`] per input cell, plus the cross-cell dirty-bitset
-/// semantics of the [`MultiOutcome`] store.
+/// [`Engine::compute`] per input cell, read back through the
+/// [`MultiOutcome`] store.
 fn check_compute_cells(inst: &Instance) {
     let graph = graph_from_codes(inst.n, &inst.codes);
     let steps = deployment_sequence(inst.n, &inst.join_codes);
@@ -196,35 +194,14 @@ fn check_compute_cells(inst: &Instance) {
                     "happy mismatch at cell {i}, m={attackers:?}, step {k}: {inst:?}"
                 );
             }
-            // Dirty-bitset semantics: bit 0 is never set (lane 0 is the
-            // reference), and a zero bit certifies the lane agrees with
-            // lane 0 at that AS.
-            for v in graph.ases() {
-                let mask = out.dirty_mask(v);
-                assert_eq!(mask & 1, 0, "reference-lane bit set at {v}");
-                for j in 1..out.lane_count() {
-                    if mask & (1 << j) == 0 {
-                        assert_eq!(
-                            out.lane(j).route(v),
-                            out.lane(0).route(v),
-                            "clean bit but dirty route: lane {j} at {v}, step {k}"
-                        );
-                        assert_eq!(
-                            out.lane(j).next_hop(v),
-                            out.lane(0).next_hop(v),
-                            "clean bit but dirty next hop: lane {j} at {v}, step {k}"
-                        );
-                    }
-                }
-            }
         }
     }
 }
 
-/// The incremental fused engine vs one solo [`AttackDeltaEngine`] per
-/// policy: every attacker of every deployment step, checked lane-by-lane
-/// through the input-cell view (duplicate spellings must read back their
-/// shared lane's values).
+/// The fused engine vs a dedicated [`Engine::compute`] per input cell:
+/// every attacker of every deployment step, checked through the
+/// input-cell view (duplicate spellings must read back their shared
+/// lane's values).
 fn check_fused_delta(inst: &Instance) {
     let graph = graph_from_codes(inst.n, &inst.codes);
     let steps = deployment_sequence(inst.n, &inst.join_codes);
@@ -232,47 +209,25 @@ fn check_fused_delta(inst: &Instance) {
     let (policies, rungs) = (grid_policies(), grid_rungs());
     let cells = CellSet::grid(&policies, &rungs);
     let mut fused = FusedDeltaEngine::new(&graph, cells.clone());
-    let mut solos: Vec<AttackDeltaEngine> = policies
-        .iter()
-        .map(|_| AttackDeltaEngine::new(&graph))
-        .collect();
+    let mut fresh = Engine::new(&graph);
     for (k, dep) in steps.iter().enumerate() {
         fused.begin(d, dep);
-        for (p, solo) in solos.iter_mut().enumerate() {
-            solo.begin(d, dep, policies[p]);
-            for r in 0..rungs.len() {
-                let i = p * rungs.len() + r;
-                assert_outcomes_match(
-                    fused.normal_outcome(i),
-                    solo.normal_outcome(),
-                    &graph,
-                    &format!("normal, cell {i}, step {k}: {inst:?}"),
-                );
-                assert_eq!(
-                    fused.normal_happy(i),
-                    solo.normal_happy(),
-                    "normal happy mismatch at cell {i}, step {k}: {inst:?}"
-                );
-            }
-        }
         for m in graph.ases().filter(|&m| m != d) {
             fused.attack(m);
-            for (p, solo) in solos.iter_mut().enumerate() {
+            for (p, &policy) in policies.iter().enumerate() {
                 for (r, &rung) in rungs.iter().enumerate() {
                     let i = p * rungs.len() + r;
-                    let want = solo.attack(m, rung);
+                    let scenario = AttackScenario::attack(m, d).with_strategy(rung);
+                    let want = fresh.compute(scenario, dep, policy);
                     assert_outcomes_match(
                         fused.outcome(i),
                         want,
                         &graph,
-                        &format!(
-                            "cell {i} ({}, {rung}), m={m}, step {k}: {inst:?}",
-                            policies[p]
-                        ),
+                        &format!("cell {i} ({policy}, {rung}), m={m}, step {k}: {inst:?}"),
                     );
                     assert_eq!(
                         fused.count_happy(i),
-                        solo.count_happy(),
+                        want.count_happy(),
                         "happy mismatch at cell {i}, m={m}, step {k}: {inst:?}"
                     );
                 }
@@ -282,8 +237,8 @@ fn check_fused_delta(inst: &Instance) {
 }
 
 /// Colluding announcer sets (pairs and triples sliding over the AS space)
-/// through [`FusedDeltaEngine::attack_set`] vs the solo engine's
-/// `attack_set`, over the first two deployment steps.
+/// through [`FusedDeltaEngine::attack_set`] vs a dedicated colluding
+/// [`Engine::compute`] per cell, over the first two deployment steps.
 fn check_fused_collusion(inst: &Instance) {
     let graph = graph_from_codes(inst.n, &inst.codes);
     let steps = deployment_sequence(inst.n, &inst.join_codes);
@@ -292,15 +247,9 @@ fn check_fused_collusion(inst: &Instance) {
     let (policies, rungs) = (grid_policies(), grid_rungs());
     let cells = CellSet::grid(&policies, &rungs);
     let mut fused = FusedDeltaEngine::new(&graph, cells.clone());
-    let mut solos: Vec<AttackDeltaEngine> = policies
-        .iter()
-        .map(|_| AttackDeltaEngine::new(&graph))
-        .collect();
+    let mut fresh = Engine::new(&graph);
     for (k, dep) in steps.iter().enumerate().take(2) {
         fused.begin(d, dep);
-        for (p, solo) in solos.iter_mut().enumerate() {
-            solo.begin(d, dep, policies[p]);
-        }
         for start in 0..n {
             for size in [2usize, 3] {
                 let set: Vec<AsId> = (0..size as u32)
@@ -311,10 +260,11 @@ fn check_fused_collusion(inst: &Instance) {
                     continue;
                 }
                 fused.attack_set(&set);
-                for (p, solo) in solos.iter_mut().enumerate() {
+                for (p, &policy) in policies.iter().enumerate() {
                     for (r, &rung) in rungs.iter().enumerate() {
                         let i = p * rungs.len() + r;
-                        let want = solo.attack_set(&set, rung);
+                        let scenario = AttackScenario::colluding(&set, d).with_strategy(rung);
+                        let want = fresh.compute(scenario, dep, policy);
                         assert_outcomes_match(
                             fused.outcome(i),
                             want,
@@ -323,7 +273,7 @@ fn check_fused_collusion(inst: &Instance) {
                         );
                         assert_eq!(
                             fused.count_happy(i),
-                            solo.count_happy(),
+                            want.count_happy(),
                             "happy mismatch at cell {i}, set={set:?}, step {k}: {inst:?}"
                         );
                     }
@@ -344,17 +294,17 @@ proptest! {
         check_compute_cells(&inst);
     }
 
-    /// The incremental fused engine reproduces a solo delta engine per
-    /// policy cell, every attacker from one shared snapshot.
+    /// The fused engine reproduces a dedicated compute per policy cell,
+    /// for every attacker at every deployment step.
     #[test]
-    fn fused_delta_matches_solo_delta(inst in arb_instance()) {
+    fn fused_delta_matches_per_cell_compute(inst in arb_instance()) {
         check_fused_delta(&inst);
     }
 
-    /// Colluding sets through the fused `attack_set` match the solo
-    /// engine's colluding outcomes per cell.
+    /// Colluding sets through the fused `attack_set` match dedicated
+    /// colluding computes per cell.
     #[test]
-    fn fused_collusion_matches_solo_delta(inst in arb_instance()) {
+    fn fused_collusion_matches_per_cell_compute(inst in arb_instance()) {
         check_fused_collusion(&inst);
     }
 }
@@ -434,32 +384,31 @@ fn fused_runners_are_bit_identical_across_thread_counts() {
                 bits(std::slice::from_ref(row)),
                 "solo cell {i}"
             );
-            // One deployment: against the solo delta engine's fold.
+            // One deployment: against a per-pair compute fold.
             if let [dep] = deps {
-                let delta = delta_metric(&net, &pairs, dep, policies[p], rung);
-                assert_eq!(bits(&[vec![delta]]), bits(&solo[..1]), "delta cell {i}");
+                let fold = compute_metric(&net, &pairs, dep, policies[p], rung);
+                assert_eq!(bits(&[vec![fold]]), bits(&solo[..1]), "fold cell {i}");
             }
         }
     }
 }
 
-/// `H_{M,D}(S)` for one cell from a solo [`AttackDeltaEngine`] per
-/// destination, folded in the drivers' (group, attacker) order.
-fn delta_metric(
+/// `H_{M,D}(S)` for one cell from a per-pair [`Engine::compute`], folded
+/// in the drivers' (group, attacker) order.
+fn compute_metric(
     net: &Internet,
     pairs: &[(AsId, AsId)],
     dep: &Deployment,
     policy: Policy,
     strategy: AttackStrategy,
 ) -> Bounds {
-    let mut delta = AttackDeltaEngine::new(&net.graph);
+    let mut engine = Engine::new(&net.graph);
     let mut total = bgp_juice::core::metric::MetricAccumulator::default();
     for (d, attackers) in sample::group_by_destination(pairs) {
         let mut acc = bgp_juice::core::metric::MetricAccumulator::default();
-        delta.begin(d, dep, policy);
         for m in attackers.into_iter().filter(|&m| m != d) {
-            delta.attack(m, strategy);
-            let (lower, upper) = delta.count_happy();
+            let scenario = AttackScenario::attack(m, d).with_strategy(strategy);
+            let (lower, upper) = engine.compute(scenario, dep, policy).count_happy();
             acc.add(HappyCount {
                 lower,
                 upper,

@@ -1,7 +1,7 @@
 //! Paper-scale smoke test: a 40k-AS synthetic Internet — the size class of
 //! the paper's UCLA/Cyclops snapshot (~39k ASes, Appendix H) — must
-//! generate with the calibrated Table 1 shape intact, and the delta engine
-//! must serve a full destination group on it within a wall-clock guard.
+//! generate with the calibrated Table 1 shape intact, and the engine must
+//! serve a full destination group on it within a wall-clock guard.
 //!
 //! `#[ignore]`d in tier-1 (it is a scale test, not a correctness test);
 //! the CI bench-smoke job runs it in release via
@@ -17,7 +17,7 @@ const ASNS: usize = 40_000;
 
 #[test]
 #[ignore = "40k-AS scale smoke; run by CI bench-smoke with --ignored"]
-fn scale_smoke_40k_generation_and_delta_group() {
+fn scale_smoke_40k_generation_and_destination_group() {
     let t0 = Instant::now();
     let net = Internet::synthetic(ASNS, 42);
     let gen_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -53,24 +53,24 @@ fn scale_smoke_40k_generation_and_delta_group() {
     assert_eq!(net.tiers.count(Tier::SmallCp), 300);
     assert_eq!(net.content_providers.len(), 17);
 
-    // --- One delta-engine destination group, end to end ----------------
+    // --- One destination group, end to end ------------------------------
     // A Tier-2 destination against a spread of non-stub attackers: one
-    // normal-conditions base fix plus one contested-region patch per
-    // attacker, exactly the unit of work every campaign cell repeats.
+    // compute per attacker, exactly the unit of work every campaign cell
+    // repeats.
     let attackers = sample::sample_non_stubs(&net, 40, 7);
     let d = net.tiers.tier2()[0];
     let dep = Deployment::full_from_iter(net.len(), net.tiers.tier1().iter().copied());
     let policy = Policy::new(SecurityModel::Security2nd);
     let t_group = Instant::now();
-    let mut delta = AttackDeltaEngine::new(&net.graph);
-    delta.begin(d, &dep, policy);
+    let mut engine = Engine::new(&net.graph);
     let mut served = 0usize;
     for &m in &attackers {
         if m == d {
             continue;
         }
-        delta.attack(m, AttackStrategy::FakeLink);
-        let (lower, upper) = delta.count_happy();
+        let (lower, upper) = engine
+            .compute(AttackScenario::attack(m, d), &dep, policy)
+            .count_happy();
         assert!(lower <= upper && upper <= net.len() - 2);
         served += 1;
     }
@@ -84,10 +84,10 @@ fn scale_smoke_40k_generation_and_delta_group() {
     let total_s = (gen_ms + group_ms) / 1e3;
     assert!(
         total_s < 300.0,
-        "40k-AS generation + delta group took {total_s:.1}s (gen {gen_ms:.0}ms, group {group_ms:.0}ms)"
+        "40k-AS generation + destination group took {total_s:.1}s (gen {gen_ms:.0}ms, group {group_ms:.0}ms)"
     );
     println!(
-        "40k smoke: gen {gen_ms:.0} ms, {served}-attacker delta group {group_ms:.0} ms, \
+        "40k smoke: gen {gen_ms:.0} ms, {served}-attacker destination group {group_ms:.0} ms, \
          stub share {stub_share:.3}, c2p/p2p {ratio:.2}"
     );
 }
@@ -95,11 +95,11 @@ fn scale_smoke_40k_generation_and_delta_group() {
 /// The `--file` ingestion pipeline at beyond-paper scale: serialize a
 /// 100k-AS synthetic Internet to CAIDA serial-1 text, load it back through
 /// [`Internet::from_file`] (parse → bulk CSR build → hierarchy validation
-/// → label-aware tier classification), and serve a delta-engine
-/// destination group on the loaded snapshot.
+/// → label-aware tier classification), and serve one destination group on
+/// the loaded snapshot.
 #[test]
 #[ignore = "100k-AS ingest smoke; run by CI bench-smoke with --ignored"]
-fn scale_smoke_100k_ingest_and_delta_group() {
+fn scale_smoke_100k_ingest_and_destination_group() {
     use bgp_juice::topology::io;
 
     const N: usize = 100_000;
@@ -145,15 +145,16 @@ fn scale_smoke_100k_ingest_and_delta_group() {
     let d = loaded.tiers.tier2()[0];
     let dep = Deployment::full_from_iter(loaded.len(), loaded.tiers.tier1().iter().copied());
     let t_group = Instant::now();
-    let mut delta = AttackDeltaEngine::new(&loaded.graph);
-    delta.begin(d, &dep, Policy::new(SecurityModel::Security2nd));
+    let policy = Policy::new(SecurityModel::Security2nd);
+    let mut engine = Engine::new(&loaded.graph);
     let mut served = 0usize;
     for &m in &attackers {
         if m == d {
             continue;
         }
-        delta.attack(m, AttackStrategy::FakeLink);
-        let (lower, upper) = delta.count_happy();
+        let (lower, upper) = engine
+            .compute(AttackScenario::attack(m, d), &dep, policy)
+            .count_happy();
         assert!(lower <= upper && upper <= loaded.len() - 2);
         served += 1;
     }
@@ -162,9 +163,9 @@ fn scale_smoke_100k_ingest_and_delta_group() {
     let total_s = (load_ms + group_ms) / 1e3;
     assert!(
         total_s < 300.0,
-        "100k-AS load + delta group took {total_s:.1}s (load {load_ms:.0}ms, group {group_ms:.0}ms)"
+        "100k-AS load + destination group took {total_s:.1}s (load {load_ms:.0}ms, group {group_ms:.0}ms)"
     );
     println!(
-        "100k ingest smoke: load {load_ms:.0} ms, {served}-attacker delta group {group_ms:.0} ms"
+        "100k ingest smoke: load {load_ms:.0} ms, {served}-attacker destination group {group_ms:.0} ms"
     );
 }

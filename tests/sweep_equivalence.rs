@@ -5,7 +5,9 @@
 //! route class, length, security, flags, representative next hop, and
 //! happy bounds — to a fresh [`Engine::compute`] at every step, for every
 //! security model, the `LP2`/`LPinf` variants, and both attack kinds.
-//! The message-level simulator oracle (`tests/equivalence.rs`) pins
+//! Sweeps adopted mid-flight from a fused lane
+//! ([`SweepEngine::begin_from`]) are held to the same bar. The
+//! message-level simulator oracle (`tests/equivalence.rs`) pins
 //! `Engine::compute` itself to the protocol, so together these close the
 //! chain: sweep ≡ engine ≡ simulated S*BGP.
 
@@ -154,6 +156,83 @@ proptest! {
             check_instance(&inst, Policy::with_variant(model, LpVariant::LpK(2)));
             check_instance(&inst, Policy::with_variant(model, LpVariant::LpInf));
         }
+    }
+}
+
+/// A sweep adopted mid-flight: [`Engine::compute_cells`] serves the first
+/// deployment for a whole policy grid, [`SweepEngine::begin_from`] adopts
+/// each lane, and every later advance must match a fresh compute. The
+/// `hijack` bit swaps the single attacker for a colluding pair.
+fn check_adopted_lanes(inst: &Instance) {
+    let graph = graph_from_codes(inst.n, &inst.codes);
+    let steps = deployment_sequence(inst.n, &inst.join_codes);
+    let d = AsId(inst.destination as u32);
+    let m = AsId(inst.attacker as u32);
+    let partner = AsId((m.0 + 1) % inst.n as u32);
+    let attackers = match (m == d, inst.hijack && partner != d) {
+        (true, _) => vec![],
+        (false, true) => vec![m, partner],
+        (false, false) => vec![m],
+    };
+    let mut policies: Vec<Policy> = SecurityModel::ALL.map(Policy::new).to_vec();
+    policies.push(Policy::with_variant(
+        SecurityModel::Security2nd,
+        LpVariant::LpK(2),
+    ));
+    let cells = CellSet::grid(
+        &policies,
+        &[
+            AttackStrategy::FakeLink,
+            AttackStrategy::FakePath { hops: 2 },
+        ],
+    );
+    let mut lanes = MultiOutcome::new();
+    Engine::new(&graph).compute_cells(d, &attackers, &steps[0], &cells, &mut lanes);
+    let mut sweep = SweepEngine::new(&graph);
+    let mut fresh = Engine::new(&graph);
+    for (j, cell) in cells.lanes().iter().enumerate() {
+        let scenario = if attackers.is_empty() {
+            AttackScenario::normal(d)
+        } else {
+            AttackScenario::colluding(&attackers, d).with_strategy(cell.strategy)
+        };
+        sweep.begin_from(
+            scenario,
+            cell.policy,
+            &steps[0],
+            lanes.lane(j),
+            lanes.happy(j),
+        );
+        for (k, dep) in steps.iter().enumerate().skip(1) {
+            let got = sweep.advance(dep);
+            let want = fresh.compute(scenario, dep, cell.policy);
+            for v in graph.ases() {
+                assert_eq!(
+                    got.route(v),
+                    want.route(v),
+                    "route mismatch at {v}, lane {j}, step {k}: {inst:?}"
+                );
+                assert_eq!(
+                    got.next_hop(v),
+                    want.next_hop(v),
+                    "next-hop mismatch at {v}, lane {j}, step {k}: {inst:?}"
+                );
+            }
+            assert_eq!(
+                sweep.count_happy(),
+                want.count_happy(),
+                "happy-bound mismatch at lane {j}, step {k}: {inst:?}"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn sweep_adopted_from_fused_lanes_matches_fresh_engine(inst in arb_instance()) {
+        check_adopted_lanes(&inst);
     }
 }
 
