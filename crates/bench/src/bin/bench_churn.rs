@@ -18,7 +18,9 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use sbgp_bench::{require_numbers, require_tag, validate_json};
 use sbgp_core::{AttackScenario, Engine, Policy, SecurityModel, SweepEngine, SweepStats};
+use sbgp_sim::json::Json;
 use sbgp_sim::{sample, scenario, Internet};
 use sbgp_topology::AsId;
 
@@ -80,32 +82,31 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
 
 /// Schema check for an emitted JSON (the CI drift gate).
 fn validate(path: &std::path::Path) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    for key in [
-        "\"bench\": \"churn\"",
-        "\"asns\"",
-        "\"seed\"",
-        "\"peak\"",
-        "\"steps\"",
-        "\"pairs\"",
-        "\"models\"",
-        "\"scratch_ms\"",
-        "\"sweep_ms\"",
-        "\"speedup\"",
-        "\"wane_scratch_ms\"",
-        "\"wane_sweep_ms\"",
-        "\"retraction_speedup\"",
-        "\"retracting_steps\"",
-        "\"fallback_steps\"",
-        "\"refixed_fraction\"",
-        "\"overall_speedup\"",
-        "\"gate\"",
-    ] {
-        if !text.contains(key) {
-            return Err(format!("{}: missing {key}", path.display()));
+    validate_json(path, |doc| {
+        require_tag(doc, "bench", "churn")?;
+        require_numbers(
+            doc,
+            &["asns", "seed", "peak", "steps", "pairs", "overall_speedup"],
+        )?;
+        doc.req("gate", "an object", Json::as_object)?;
+        for m in doc.req("models", "an array", Json::as_array)? {
+            require_numbers(
+                m,
+                &[
+                    "scratch_ms",
+                    "sweep_ms",
+                    "speedup",
+                    "wane_scratch_ms",
+                    "wane_sweep_ms",
+                    "retraction_speedup",
+                    "retracting_steps",
+                    "fallback_steps",
+                    "refixed_fraction",
+                ],
+            )?;
         }
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 struct ModelResult {

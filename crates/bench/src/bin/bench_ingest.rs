@@ -23,7 +23,9 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
+use sbgp_bench::{require_numbers, require_tag, validate_json};
 use sbgp_core::{AttackScenario, Deployment, Engine, Policy, SecurityModel};
+use sbgp_sim::json::Json;
 use sbgp_sim::{sample, Internet};
 use sbgp_topology::{io, AsId, GraphBuilder, Relationship};
 
@@ -82,31 +84,32 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
 
 /// Schema check for an emitted JSON (the CI drift gate).
 fn validate(path: &std::path::Path) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    for key in [
-        "\"bench\": \"ingest\"",
-        "\"cells\"",
-        "\"asns\"",
-        "\"edges\"",
-        "\"lines\"",
-        "\"gen_ms\"",
-        "\"write_ms\"",
-        "\"parse_ms\"",
-        "\"lines_per_sec\"",
-        "\"bulk_build_ms\"",
-        "\"hashmap_build_ms\"",
-        "\"build_speedup\"",
-        "\"load_ms\"",
-        "\"content_providers\"",
-        "\"group_ms\"",
-        "\"attackers\"",
-        "\"gate\"",
-    ] {
-        if !text.contains(key) {
-            return Err(format!("{}: missing {key}", path.display()));
+    validate_json(path, |doc| {
+        require_tag(doc, "bench", "ingest")?;
+        doc.req("gate", "an object", Json::as_object)?;
+        for cell in doc.req("cells", "an array", Json::as_array)? {
+            require_numbers(
+                cell,
+                &[
+                    "asns",
+                    "edges",
+                    "lines",
+                    "gen_ms",
+                    "write_ms",
+                    "parse_ms",
+                    "lines_per_sec",
+                    "bulk_build_ms",
+                    "hashmap_build_ms",
+                    "build_speedup",
+                    "load_ms",
+                    "content_providers",
+                    "group_ms",
+                    "attackers",
+                ],
+            )?;
         }
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 struct Cell {

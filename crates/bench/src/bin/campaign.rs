@@ -58,9 +58,11 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use sbgp_bench::sweep_rollout_steps;
+use sbgp_bench::{require_numbers, require_tag, sweep_rollout_steps};
 use sbgp_core::{AttackStrategy, Deployment, Policy, SecurityModel};
 use sbgp_sim::faultpoint;
+use sbgp_sim::json::Json;
+use sbgp_sim::serve::{model_token, parse_model};
 use sbgp_sim::stats::{self, AdaptiveRun, EstimatorConfig, PairUniverse};
 use sbgp_sim::supervise::{self, Supervisor, SupervisorConfig, WorkerMsg};
 use sbgp_sim::{Internet, Parallelism};
@@ -99,23 +101,6 @@ impl Figure {
             Figure::Rollout => "rollout",
             Figure::Ladder => "ladder",
         }
-    }
-}
-
-fn model_token(m: SecurityModel) -> &'static str {
-    match m {
-        SecurityModel::Security1st => "sec1",
-        SecurityModel::Security2nd => "sec2",
-        SecurityModel::Security3rd => "sec3",
-    }
-}
-
-fn parse_model(s: &str) -> Result<SecurityModel, String> {
-    match s {
-        "sec1" => Ok(SecurityModel::Security1st),
-        "sec2" => Ok(SecurityModel::Security2nd),
-        "sec3" => Ok(SecurityModel::Security3rd),
-        other => Err(format!("unknown model {other:?} (sec1|sec2|sec3)")),
     }
 }
 
@@ -295,18 +280,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     Ok(a)
 }
 
-/// Minimal field extraction from our own cell JSON (numbers only; the
-/// files are machine-written, never hand-edited).
-fn json_u64(text: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\": ");
-    let start = text.find(&pat)? + pat.len();
-    let rest = &text[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].split('.').next()?.parse().ok()
-}
-
 struct CellOutcome {
     id: String,
     json: String,
@@ -482,52 +455,50 @@ fn try_resume(
             return None;
         }
     };
-    let complete = text.contains(&format!("\"schema\": \"{CELL_SCHEMA}\"")) && text.ends_with('}');
-    let damage = if text.is_empty() {
-        Some("is zero bytes (torn write)")
-    } else if !complete {
-        Some("is torn or not a campaign cell")
-    } else {
-        match supervise::verify_checksum(&text) {
-            supervise::ChecksumStatus::Valid | supervise::ChecksumStatus::Missing => None,
-            supervise::ChecksumStatus::Mismatch => Some("fails its content checksum"),
-        }
-    };
-    if let Some(why) = damage {
+    let parsed = Json::parse(&text).ok().and_then(|c| {
+        let (wall_ms, pairs) = (c.get("wall_ms")?.as_f64()?, c.get("pairs")?.as_u64()?);
+        (c.get("schema")?.as_str()? == CELL_SCHEMA).then_some((c, wall_ms, pairs))
+    });
+    let Some((cell, wall_ms, pairs)) = parsed else {
+        let why = if text.is_empty() {
+            "is zero bytes (torn write)"
+        } else {
+            "is torn or not a campaign cell"
+        };
         quarantine(&path, &cell_id, why);
         return None;
+    };
+    let checksum = supervise::verify_checksum(&text);
+    if checksum == supervise::ChecksumStatus::Mismatch {
+        quarantine(&path, &cell_id, "fails its content checksum");
+        return None;
     }
-    if matches!(
-        supervise::verify_checksum(&text),
-        supervise::ChecksumStatus::Missing
-    ) {
+    if checksum == supervise::ChecksumStatus::Missing {
         // Healthy pre-hardening checkpoint: recompute (don't quarantine)
         // so every trusted cell carries a checksum going forward.
         println!("cell {cell_id}: checkpoint predates content checksums, recomputing");
         return None;
     }
-    if text.contains("\"degraded\": true") {
+    if cell.get("degraded") == Some(&Json::Bool(true)) {
         println!("cell {cell_id}: checkpoint is degraded (lost groups), recomputing to repair");
         return None;
     }
     // A reusable checkpoint was also produced under the *same estimation
-    // parameters* — we write these lines ourselves, so exact string
-    // matches are a full check. A rerun with a different --pairs / --ci
-    // / --rollout-steps recomputes the cell instead of silently reusing
+    // parameters*. A rerun with a different --pairs / --ci /
+    // --rollout-steps recomputes the cell instead of silently reusing
     // stale estimates under a new grid header.
-    let ci_line = match args.ci {
-        Some(t) => format!("\"ci_target\": {t},"),
-        None => "\"ci_target\": null,".to_string(),
+    let ci_target = match cell.get("ci_target") {
+        Some(Json::Null) => Some(None),
+        ci => ci.and_then(Json::as_f64).map(Some),
     };
-    let same_params = text.contains(&format!("\"budget\": {},", args.pairs))
-        && text.contains(&ci_line)
-        && text.contains(&format!("\"steps\": {},", expected_steps(figure, args)));
-    if !same_params {
+    let steps = expected_steps(figure, args) as u64;
+    if cell.get("budget").and_then(Json::as_u64) != Some(args.pairs)
+        || ci_target != Some(args.ci)
+        || cell.get("steps").and_then(Json::as_u64) != Some(steps)
+    {
         println!("cell {cell_id}: checkpoint has different estimation parameters, recomputing");
         return None;
     }
-    let wall_ms = json_u64(&text, "wall_ms").unwrap_or(0) as f64;
-    let pairs = json_u64(&text, "pairs").unwrap_or(0);
     println!("cell {cell_id}: resumed from checkpoint");
     Some(CellOutcome {
         id: cell_id,
@@ -653,7 +624,7 @@ fn run_figure_group(
         // back, and the coordinator merges them in group order — the
         // same merge sequence as the in-process pool, so the estimates
         // are bit-identical to `--workers 0`.
-        let spec = group_spec_json(figure, net, seed, &missing, graph, args);
+        let spec = group_spec_json(figure, net.len(), seed, &missing, graph, args);
         let universe = match figure {
             Figure::Baseline => PairUniverse::new(net, &all, &all),
             Figure::Rollout | Figure::Ladder => PairUniverse::new(net, &non_stubs, &all),
@@ -763,31 +734,9 @@ fn run_figure_group(
 /// Schema check for an assembled campaign JSON (the CI drift gate).
 fn validate(path: &Path) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    for key in [
-        &format!("\"schema\": \"{CAMPAIGN_SCHEMA}\"") as &str,
-        &format!("\"schema\": \"{CELL_SCHEMA}\""),
-        "\"grid\"",
-        "\"cells\"",
-        "\"totals\"",
-        "\"figure\"",
-        "\"asns\"",
-        "\"seed\"",
-        "\"model\"",
-        "\"population\"",
-        "\"strata\"",
-        "\"pairs\"",
-        "\"wall_ms\"",
-        "\"pairs_per_sec\"",
-        "\"max_halfwidth\"",
-        "\"ci_trajectory\"",
-        "\"estimates\"",
-        "\"hw_lower\"",
-        "\"hw_upper\"",
-    ] {
-        if !text.contains(key) {
-            return Err(format!("{}: missing {key}", path.display()));
-        }
-    }
+    Json::parse(&text)
+        .and_then(|doc| check_schema(&doc))
+        .map_err(|e| format!("{}: {e}", path.display()))?;
     // Audit the embedded content checksum of every cell block that has
     // one (pre-hardening campaign files carry none — still accepted).
     // Cell blocks sit at exactly four spaces of indent, so the scan
@@ -820,6 +769,44 @@ fn validate(path: &Path) -> Result<(), String> {
                 }
             }
         }
+    }
+    Ok(())
+}
+
+/// The keys and types every campaign file and every cell must carry.
+fn check_schema(doc: &Json) -> Result<(), String> {
+    require_tag(doc, "schema", CAMPAIGN_SCHEMA)?;
+    doc.req("grid", "an object", Json::as_object)?;
+    doc.req("totals", "an object", Json::as_object)?;
+    let cells = doc.req("cells", "an array", Json::as_array)?;
+    if cells.is_empty() {
+        return Err("no cells".into());
+    }
+    for (i, cell) in cells.iter().enumerate() {
+        let check = || -> Result<(), String> {
+            require_tag(cell, "schema", CELL_SCHEMA)?;
+            cell.req("figure", "a string", Json::as_str)?;
+            cell.req("model", "a string", Json::as_str)?;
+            require_numbers(
+                cell,
+                &[
+                    "asns",
+                    "seed",
+                    "population",
+                    "strata",
+                    "pairs",
+                    "wall_ms",
+                    "pairs_per_sec",
+                    "max_halfwidth",
+                ],
+            )?;
+            cell.req("ci_trajectory", "an array", Json::as_array)?;
+            for e in cell.req("estimates", "an array", Json::as_array)? {
+                require_numbers(e, &["lower", "upper", "hw_lower", "hw_upper"])?;
+            }
+            Ok(())
+        };
+        check().map_err(|e| format!("cell {i}: {e}"))?;
     }
     Ok(())
 }
@@ -1023,7 +1010,8 @@ fn main() {
     if let Some(path) = &args.file {
         // Only parsed-snapshot runs carry these keys; the synthetic grid
         // (and the committed release JSON) is byte-for-byte unchanged.
-        let _ = writeln!(json, "    \"snapshot\": \"{}\",", path.display());
+        let snapshot = Json::Str(path.display().to_string());
+        let _ = writeln!(json, "    \"snapshot\": {snapshot},");
         let _ = writeln!(json, "    \"cps\": {},", list_json(&args.cps, false));
     }
     let _ = writeln!(json, "    \"asns\": {},", list_json(&args.asns, false));
@@ -1087,68 +1075,29 @@ fn main() {
 /// fleet only when the payload changes).
 fn group_spec_json(
     figure: Figure,
-    net: &Internet,
+    asns: usize,
     seed: u64,
     models: &[SecurityModel],
     graph: Option<&str>,
     args: &Args,
 ) -> String {
-    let mut s = format!(
-        "{{\"figure\":\"{}\",\"asns\":{},\"seed\":{seed},\"models\":[",
-        figure.name(),
-        net.len()
-    );
-    for (i, &m) in models.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\"{}\"", model_token(m));
+    let models: Vec<&str> = models.iter().map(|&m| model_token(m)).collect();
+    let mut spec = vec![
+        ("figure", figure.name().into()),
+        ("asns", (asns as u64).into()),
+        ("seed", seed.into()),
+        ("models", models.into()),
+        ("steps", (args.rollout_steps as u64).into()),
+    ];
+    if let (Some(_), Some(path)) = (graph, &args.file) {
+        let cps: Vec<u64> = args.cps.iter().map(|&cp| u64::from(cp)).collect();
+        spec.push(("snapshot", Json::Str(path.display().to_string())));
+        spec.push(("cps", cps.into()));
     }
-    let _ = write!(s, "],\"steps\":{}", args.rollout_steps);
-    if graph.is_some() {
-        if let Some(path) = &args.file {
-            let _ = write!(s, ",\"snapshot\":\"{}\"", path.display());
-            let _ = write!(s, ",\"cps\":[");
-            for (i, cp) in args.cps.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "{cp}");
-            }
-            s.push(']');
-        }
-    }
-    s.push('}');
-    s
+    Json::obj(spec).to_string()
 }
 
-/// `"key":"value"` extraction from a compact (no-space) group spec.
-fn spec_str<'t>(text: &'t str, key: &str) -> Option<&'t str> {
-    let pat = format!("\"{key}\":\"");
-    let start = text.find(&pat)? + pat.len();
-    let end = text[start..].find('"')? + start;
-    Some(&text[start..end])
-}
-
-/// `"key":123` extraction from a compact group spec.
-fn spec_u64(text: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = text.find(&pat)? + pat.len();
-    let rest = &text[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// `"key":[...]` — the raw bracket contents of a compact group spec.
-fn spec_list<'t>(text: &'t str, key: &str) -> Option<&'t str> {
-    let pat = format!("\"{key}\":[");
-    let start = text.find(&pat)? + pat.len();
-    let end = text[start..].find(']')? + start;
-    Some(&text[start..end])
-}
-
+#[derive(Debug)]
 struct GroupSpec {
     figure: Figure,
     asns: usize,
@@ -1160,33 +1109,31 @@ struct GroupSpec {
 }
 
 fn parse_group_spec(text: &str) -> Result<GroupSpec, String> {
-    let figure = Figure::parse(spec_str(text, "figure").ok_or("spec: no figure")?)?;
-    let asns = spec_u64(text, "asns").ok_or("spec: no asns")? as usize;
-    let seed = spec_u64(text, "seed").ok_or("spec: no seed")?;
-    let models = spec_list(text, "models")
-        .ok_or("spec: no models")?
-        .split(',')
-        .filter(|t| !t.is_empty())
-        .map(|t| parse_model(t.trim_matches('"')))
-        .collect::<Result<Vec<_>, _>>()?;
-    let steps = spec_u64(text, "steps").ok_or("spec: no steps")? as usize;
-    let snapshot = spec_str(text, "snapshot").map(PathBuf::from);
-    let cps = match spec_list(text, "cps") {
-        Some(list) => list
-            .split(',')
-            .filter(|t| !t.is_empty())
-            .map(|t| t.parse::<u32>().map_err(|e| format!("spec: bad cp: {e}")))
-            .collect::<Result<Vec<_>, _>>()?,
-        None => Vec::new(),
-    };
+    let spec = Json::parse(text)?;
+    spec.only_keys(&[
+        "figure", "asns", "seed", "models", "steps", "snapshot", "cps",
+    ])?;
+    let uint = "an unsigned integer";
+    let models = spec.req("models", "an array of strings", Json::as_strs)?;
+    let cps = spec.opt("cps", "an array of ASNs", |v| {
+        v.as_u64s()?
+            .into_iter()
+            .map(|cp| u32::try_from(cp).ok())
+            .collect()
+    })?;
     Ok(GroupSpec {
-        figure,
-        asns,
-        seed,
-        models,
-        steps,
-        snapshot,
-        cps,
+        figure: Figure::parse(spec.req("figure", "a string", Json::as_str)?)?,
+        asns: spec.req("asns", uint, Json::as_u64)? as usize,
+        seed: spec.req("seed", uint, Json::as_u64)?,
+        models: models
+            .into_iter()
+            .map(parse_model)
+            .collect::<Result<_, _>>()?,
+        steps: spec.req("steps", uint, Json::as_u64)? as usize,
+        snapshot: spec
+            .opt("snapshot", "a string", Json::as_str)?
+            .map(PathBuf::from),
+        cps: cps.unwrap_or_default(),
     })
 }
 
@@ -1360,6 +1307,53 @@ fn worker_main(args: &Args) -> ! {
         };
         if next_init.is_none() {
             std::process::exit(0);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A snapshot path holding `"` and `\` survives the spec writer, the
+    /// init frame and `parse_group_spec` unchanged.
+    #[test]
+    fn group_spec_round_trips_quotes_and_backslashes_in_paths() {
+        let path = "snap\"shots\\cyclops \"2013\".as-rel";
+        let args = Args {
+            file: Some(PathBuf::from(path)),
+            cps: vec![15169, 8075],
+            rollout_steps: 4,
+            ..Args::default()
+        };
+        let models = [SecurityModel::Security1st, SecurityModel::Security3rd];
+        let spec = group_spec_json(Figure::Rollout, 24, 7, &models, Some("cyclops"), &args);
+        let init = supervise::encode_init(&spec);
+        let Ok(WorkerMsg::Init(payload)) = supervise::parse_worker_msg(&init) else {
+            panic!("init frame did not round-trip: {init}");
+        };
+        assert_eq!(payload, spec);
+        let back = parse_group_spec(&payload).expect("spec parses");
+        assert_eq!(back.figure, Figure::Rollout);
+        assert_eq!((back.asns, back.seed, back.steps), (24, 7, 4));
+        assert_eq!(back.models, models);
+        assert_eq!(back.snapshot.as_deref(), Some(Path::new(path)));
+        assert_eq!(back.cps, vec![15169, 8075]);
+
+        // Synthetic groups carry no snapshot, whatever the flags say.
+        let synthetic = group_spec_json(Figure::Baseline, 400, 11, &models, None, &args);
+        let back = parse_group_spec(&synthetic).expect("spec parses");
+        assert_eq!((back.snapshot, back.cps), (None, vec![]));
+
+        for bad in [
+            "{\"figure\":\"baseline\"}",
+            "{\"figure\":\"baseline\",\"asns\":400,\"seed\":11,\"models\":[\"sec1\"],\
+             \"steps\":3,\"extra\":1}",
+            "{\"figure\":\"baseline\",\"asns\":-400,\"seed\":11,\"models\":[\"sec1\"],\"steps\":3}",
+            "{\"figure\":\"baseline\",\"asns\":400,\"seed\":11,\"models\":[\"sec1\"],\"steps\":3,\
+             \"cps\":[4294967296]}",
+        ] {
+            assert!(parse_group_spec(bad).is_err(), "accepted {bad}");
         }
     }
 }

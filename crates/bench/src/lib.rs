@@ -32,10 +32,11 @@
 
 pub mod render;
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use sbgp_core::{AttackStrategy, LpVariant};
 use sbgp_sim::experiments::ExperimentConfig;
+use sbgp_sim::json::Json;
 use sbgp_sim::{Internet, Parallelism};
 
 /// The sweep-benchmark / campaign rollout workload — re-exported from
@@ -266,6 +267,34 @@ impl Cli {
         }
         println!();
     }
+}
+
+/// The `--validate` schema gate of the bench bins: `path` must parse with
+/// the strict codec and pass `check`.
+pub fn validate_json(
+    path: &Path,
+    check: impl FnOnce(&Json) -> Result<(), String>,
+) -> Result<(), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    Json::parse(&text)
+        .and_then(|doc| check(&doc))
+        .map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// Require the string `key` of `obj` to equal `want`.
+pub fn require_tag(obj: &Json, key: &str, want: &str) -> Result<(), String> {
+    match obj.req(key, "a string", Json::as_str)? {
+        tag if tag == want => Ok(()),
+        tag => Err(format!("{key} is {tag:?}, not {want:?}")),
+    }
+}
+
+/// Require each of `keys` on `obj` to be a number.
+pub fn require_numbers(obj: &Json, keys: &[&str]) -> Result<(), String> {
+    for key in keys {
+        obj.req(key, "a number", Json::as_f64)?;
+    }
+    Ok(())
 }
 
 fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {

@@ -9,6 +9,7 @@ use sbgp_sim::experiments::{
     baseline, churn, estimation, extensions, partitions, per_destination, rollout, root_cause,
     strategic, ExperimentConfig,
 };
+use sbgp_sim::json::Json;
 use sbgp_sim::report::{
     delta_pair, pct, pct_bounds, pct_estimate, stacked_bar, sweep_stats_line, Table,
 };
@@ -713,95 +714,53 @@ pub fn render_weighted(net: &Internet, cfg: &ExperimentConfig) -> String {
 /// Quote the CI-annotated estimates out of a committed campaign JSON
 /// (`BENCH_campaign.json`) so `run_all` can print the release-grid
 /// numbers **without re-deriving them**. Returns `None` unless the text
-/// carries the `campaign-v1` schema and at least one cell.
-///
-/// The file is machine-written by the `campaign` binary (never
-/// hand-edited), so line-oriented field extraction is a faithful parse.
+/// parses as JSON with the `campaign-v1` schema and holds at least one
+/// readable cell. Numeric fields are quoted exactly as the file writes
+/// them.
 pub fn render_campaign_quotes(json: &str) -> Option<String> {
-    if !json.contains("\"schema\": \"campaign-v1\"") {
+    let doc = Json::parse(json).ok()?;
+    if doc.get("schema")?.as_str()? != "campaign-v1" {
         return None;
     }
-    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-        let pat = format!("\"{key}\": ");
-        let start = line.find(&pat)? + pat.len();
-        let rest = &line[start..];
-        // A quoted value ends at its closing quote — a `,` or `}` inside
-        // the string (e.g. a figure label like "rollout, sec3") is part
-        // of the value, not a terminator.
-        if let Some(inner) = rest.strip_prefix('"') {
-            return Some(&inner[..inner.find('"')?]);
-        }
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim())
-    }
-    struct Cell {
-        figure: String,
-        asns: String,
-        seed: String,
-        model: String,
-        pairs: String,
-        population: String,
-        first: String,
-        last: String,
-        steps: usize,
-    }
-    let estimate = |line: &str| -> Option<String> {
-        let lower: f64 = field(line, "lower")?.parse().ok()?;
-        let upper: f64 = field(line, "upper")?.parse().ok()?;
-        let hw: f64 = field(line, "hw_lower")?
-            .parse::<f64>()
-            .ok()?
-            .max(field(line, "hw_upper")?.parse().ok()?);
+    let estimate = |e: &Json| -> Option<String> {
+        let num = |key: &str| e.get(key)?.as_f64();
         Some(format!(
             "{} ±{:.2}pp",
-            pct_bounds(sbgp_core::Bounds { lower, upper }),
-            100.0 * hw
+            pct_bounds(sbgp_core::Bounds {
+                lower: num("lower")?,
+                upper: num("upper")?,
+            }),
+            100.0 * num("hw_lower")?.max(num("hw_upper")?)
         ))
     };
-    let mut cells: Vec<Cell> = Vec::new();
-    for line in json.lines() {
-        let line = line.trim();
-        if line.contains("\"schema\": \"campaign-cell-v1\"") {
-            cells.push(Cell {
-                figure: String::new(),
-                asns: String::new(),
-                seed: String::new(),
-                model: String::new(),
-                pairs: String::new(),
-                population: String::new(),
-                first: String::new(),
-                last: String::new(),
-                steps: 0,
-            });
-            continue;
+    let row = |cell: &Json| -> Option<[String; 8]> {
+        if cell.get("schema")?.as_str()? != "campaign-cell-v1" {
+            return None;
         }
-        let Some(cell) = cells.last_mut() else {
-            continue;
+        let number = |key: &str| Some(cell.get(key).filter(|v| v.as_f64().is_some())?.to_string());
+        let (first, rest) = cell.get("estimates")?.as_array()?.split_first()?;
+        let last = match rest.last() {
+            Some(last) => estimate(last)?,
+            None => "—".to_string(),
         };
-        if line.starts_with("\"figure\"") {
-            cell.figure = field(line, "figure").unwrap_or_default().to_string();
-        } else if line.starts_with("\"asns\"") {
-            cell.asns = field(line, "asns").unwrap_or_default().to_string();
-        } else if line.starts_with("\"seed\"") {
-            cell.seed = field(line, "seed").unwrap_or_default().to_string();
-        } else if line.starts_with("\"model\"") {
-            cell.model = field(line, "model").unwrap_or_default().to_string();
-        } else if line.starts_with("\"pairs\"") {
-            cell.pairs = field(line, "pairs").unwrap_or_default().to_string();
-        } else if line.starts_with("\"population\"") {
-            cell.population = field(line, "population").unwrap_or_default().to_string();
-        } else if line.starts_with("{\"step\"") {
-            if let Some(e) = estimate(line) {
-                if cell.steps == 0 {
-                    cell.first = e.clone();
-                }
-                cell.last = e;
-                cell.steps += 1;
-            }
-        }
-    }
-    cells.retain(|c| c.steps > 0 && !c.figure.is_empty());
-    if cells.is_empty() {
+        Some([
+            cell.get("figure")?.as_str()?.to_string(),
+            number("asns")?,
+            number("seed")?,
+            cell.get("model")?.as_str()?.to_string(),
+            number("pairs")?,
+            number("population")?,
+            estimate(first)?,
+            last,
+        ])
+    };
+    let rows: Vec<[String; 8]> = doc
+        .get("cells")?
+        .as_array()?
+        .iter()
+        .filter_map(row)
+        .collect();
+    if rows.is_empty() {
         return None;
     }
     let mut out = String::new();
@@ -819,21 +778,8 @@ pub fn render_campaign_quotes(json: &str) -> Option<String> {
         "H first step",
         "H last step",
     ]);
-    for c in &cells {
-        t.row([
-            c.figure.clone(),
-            c.asns.clone(),
-            c.seed.clone(),
-            c.model.clone(),
-            c.pairs.clone(),
-            c.population.clone(),
-            c.first.clone(),
-            if c.steps > 1 {
-                c.last.clone()
-            } else {
-                "—".to_string()
-            },
-        ]);
+    for r in rows {
+        t.row(r);
     }
     out.push_str(&t.render());
     out.push_str("\n(regenerate with `cargo run --release -p sbgp_bench --bin campaign`)\n");
@@ -876,6 +822,17 @@ mod tests {
         assert!(out.contains("2000"), "{out}");
         assert!(out.contains("±0.56pp"), "{out}");
         assert!(out.contains("±0.49pp"), "{out}");
+    }
+
+    /// The committed release grid is quoted byte for byte. The golden
+    /// matches the old line scanner's output except in the last row. That
+    /// scanner read the `totals` block's `"pairs": 36000` as the last
+    /// cell's pairs; the cell itself says 2000.
+    #[test]
+    fn campaign_quotes_of_the_committed_grid_are_pinned() {
+        let json = include_str!("../../../BENCH_campaign.json");
+        let golden = include_str!("../../../tests/golden/campaign_quotes.txt");
+        assert_eq!(render_campaign_quotes(json).as_deref(), Some(golden));
     }
 
     #[test]

@@ -37,6 +37,9 @@
 //!   K-strikes degradation) as the second backend of the adaptive round
 //!   loop, bit-identical to the in-process one, plus checkpoint content
 //!   checksums;
+//! * [`json`] — the one strict JSON codec (RFC 8259 parser, lexeme-exact
+//!   numbers, compact writer) behind every frame and file the code reads
+//!   back;
 //! * [`faultpoint`] — seeded deterministic fault injection (compiled to
 //!   no-ops without the `fault-injection` feature) for exercising the
 //!   recovery paths;
@@ -54,6 +57,7 @@
 
 pub mod experiments;
 pub mod faultpoint;
+pub mod json;
 pub mod report;
 pub mod runner;
 pub mod sample;

@@ -38,10 +38,18 @@
 //! ```
 //!
 //! All ids are dense graph ids (`0..n`); `models`/`strategies` default to
-//! `["sec3"]`/`["fakelink"]`, `variant` to `"lp"` — defaults apply only to
-//! *absent* keys. Frames are compact JSON (no whitespace around `:` or
-//! `,`); a key that is present but unreadable draws an error reply, never
-//! a default. Replies echo the id:
+//! `["sec3"]`/`["fakelink"]`, `variant` to `"lp"`. Requests are read by the
+//! strict codec in [`crate::json`], so whitespace and key order never
+//! change the answer. The rules:
+//!
+//! * a request is exactly one JSON object (RFC 8259: no trailing bytes,
+//!   no duplicate keys, validated escapes, bounded nesting);
+//! * an unknown key, or a key of the wrong type (`"budget":"50"`,
+//!   `"budget":-5`, `"secure":[[1]]`, an id above `u64::MAX`), draws an
+//!   error reply;
+//! * defaults apply only to *absent* keys, never to unreadable ones.
+//!
+//! Replies echo the id:
 //!
 //! ```text
 //! {"op":"reply","schema":"planner-v1","id":1,"mode":"exact","pairs":4,"population":4,
@@ -68,16 +76,15 @@ use std::io::{Read, Write};
 use std::time::{Duration, Instant};
 
 use sbgp_core::{
-    AttackStrategy, CellSet, Deployment, FusedDeltaEngine, LpVariant, Policy, PolicyCell,
+    AttackStrategy, Bounds, CellSet, Deployment, FusedDeltaEngine, LpVariant, Policy, PolicyCell,
     SecurityModel,
 };
 use sbgp_topology::AsId;
 
+use crate::json::Json;
 use crate::runner::{map_reduce, Parallelism};
 use crate::stats::{estimate_adaptive_cells_eval, EstimatorConfig, PairUniverse, SweepCellsEval};
-use crate::supervise::{
-    json_str_field, json_u64_field, json_u64s, read_frame, sanitize, write_frame,
-};
+use crate::supervise::{read_frame, write_frame};
 use crate::Internet;
 
 /// Wire-schema tag carried by every planner reply.
@@ -151,29 +158,27 @@ pub fn parse_strategy(tok: &str) -> Result<AttackStrategy, String> {
     }
 }
 
-/// Parse `"key":["a","b",...]` as a list of strings (no escapes — the
-/// planner vocabulary is plain tokens).
-fn json_str_list(text: &str, key: &str) -> Option<Vec<String>> {
-    let pat = format!("\"{key}\":[");
-    let start = text.find(&pat)? + pat.len();
-    let rest = &text[start..];
-    let end = rest.find(']')?;
-    let body = &rest[..end];
-    let mut out = Vec::new();
-    for tok in body.split(',') {
-        let tok = tok.trim();
-        if tok.is_empty() {
-            continue;
-        }
-        out.push(tok.trim_matches('"').to_string());
-    }
-    Some(out)
+/// `msg` as a reply string: quotes, backslashes and control characters
+/// become spaces (so nothing needs escaping), capped at 300 chars.
+fn sanitize(msg: &str) -> Json {
+    let plain: String = msg
+        .chars()
+        .map(|c| {
+            if c == '"' || c == '\\' || c.is_control() {
+                ' '
+            } else {
+                c
+            }
+        })
+        .take(300)
+        .collect();
+    Json::Str(plain)
 }
 
-/// Shortest-round-trip float formatting (Rust's `Display` for `f64` is
-/// exact on parse-back, so replies are bit-faithful).
-fn fmt_f64(v: f64) -> String {
-    format!("{v}")
+/// A planner frame: `op` and the schema tag, then `members`.
+fn frame<const N: usize>(op: &str, members: [(&str, Json); N]) -> String {
+    let head = [("op", op.into()), ("schema", PLANNER_SCHEMA.into())];
+    Json::obj(head.into_iter().chain(members)).to_string()
 }
 
 // ---------------------------------------------------------------------------
@@ -251,28 +256,28 @@ pub struct Query {
     pub deadline_ms: Option<u64>,
 }
 
-/// True when `"key"` occurs as an object key (followed by a colon).
-fn has_key(text: &str, key: &str) -> bool {
-    let pat = format!("\"{key}\"");
-    text.match_indices(&pat)
-        .any(|(i, _)| text[i + pat.len()..].trim_start().starts_with(':'))
-}
+/// Every key a query may carry.
+const QUERY_KEYS: [&str; 12] = [
+    "op",
+    "id",
+    "secure",
+    "simplex",
+    "attackers",
+    "destinations",
+    "models",
+    "variant",
+    "strategies",
+    "budget",
+    "seed",
+    "deadline_ms",
+];
 
-/// A scanned field: `Ok(None)` only when the key is absent. A key that is
-/// present but unreadable by the compact scanners (`"key":value`, no
-/// whitespace) is an error, never a silent default.
-fn field<T>(text: &str, key: &str, scanned: Option<T>) -> Result<Option<T>, String> {
-    match scanned {
-        None if has_key(text, key) => Err(format!(
-            "{key}: unreadable value (frames are compact JSON: no whitespace \
-             around ':' or ',')"
-        )),
-        scanned => Ok(scanned),
-    }
-}
+const UINT: &str = "an unsigned integer";
 
-fn parse_ids(text: &str, key: &str, n: usize) -> Result<Vec<AsId>, String> {
-    let raw = field(text, key, json_u64s(text, key))?.unwrap_or_default();
+fn parse_ids(msg: &Json, key: &str, n: usize) -> Result<Vec<AsId>, String> {
+    let raw = msg
+        .opt(key, "an array of unsigned integer ids", Json::as_u64s)?
+        .unwrap_or_default();
     let mut out = Vec::with_capacity(raw.len());
     for v in raw {
         if v >= n as u64 {
@@ -281,6 +286,19 @@ fn parse_ids(text: &str, key: &str, n: usize) -> Result<Vec<AsId>, String> {
         out.push(AsId(v as u32));
     }
     Ok(out)
+}
+
+/// A token list: absent or empty means `default`.
+fn parse_tokens<T>(
+    msg: &Json,
+    key: &str,
+    parse: fn(&str) -> Result<T, String>,
+    default: T,
+) -> Result<Vec<T>, String> {
+    match msg.opt(key, "an array of strings", Json::as_strs)? {
+        Some(toks) if !toks.is_empty() => toks.into_iter().map(parse).collect(),
+        _ => Ok(vec![default]),
+    }
 }
 
 fn reject_duplicates(ids: &[AsId], key: &str) -> Result<(), String> {
@@ -299,14 +317,23 @@ fn reject_duplicates(ids: &[AsId], key: &str) -> Result<(), String> {
 impl Query {
     /// Parse a `{"op":"query",...}` message against a graph of `n` ASes.
     pub fn parse(text: &str, n: usize) -> Result<Query, String> {
+        Query::from_json(&Json::parse(text)?, n)
+    }
+
+    fn from_json(msg: &Json, n: usize) -> Result<Query, String> {
         if n < 3 {
             return Err(format!("graph has {n} ASes; the metric needs at least 3"));
         }
-        let id = field(text, "id", json_u64_field(text, "id"))?.unwrap_or(0);
-        let secure = parse_ids(text, "secure", n)?;
-        let simplex = parse_ids(text, "simplex", n)?;
-        let attackers = parse_ids(text, "attackers", n)?;
-        let destinations = parse_ids(text, "destinations", n)?;
+        msg.only_keys(&QUERY_KEYS)?;
+        match msg.opt("op", "a string", Json::as_str)? {
+            None | Some("query") => {}
+            Some(op) => return Err(format!("op {op:?} is not a query")),
+        }
+        let id = msg.opt("id", UINT, Json::as_u64)?.unwrap_or(0);
+        let secure = parse_ids(msg, "secure", n)?;
+        let simplex = parse_ids(msg, "simplex", n)?;
+        let attackers = parse_ids(msg, "attackers", n)?;
+        let destinations = parse_ids(msg, "destinations", n)?;
         if attackers.is_empty() {
             return Err("attackers: need at least one suspected attacker".into());
         }
@@ -315,24 +342,12 @@ impl Query {
         }
         reject_duplicates(&attackers, "attackers")?;
         reject_duplicates(&destinations, "destinations")?;
-        let models = match field(text, "models", json_str_list(text, "models"))? {
-            Some(toks) if !toks.is_empty() => toks
-                .iter()
-                .map(|t| parse_model(t))
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => vec![SecurityModel::Security3rd],
-        };
-        let variant = match field(text, "variant", json_str_field(text, "variant"))? {
+        let models = parse_tokens(msg, "models", parse_model, SecurityModel::Security3rd)?;
+        let variant = match msg.opt("variant", "a string", Json::as_str)? {
             Some(tok) => parse_variant(tok)?,
             None => LpVariant::Standard,
         };
-        let strategies = match field(text, "strategies", json_str_list(text, "strategies"))? {
-            Some(toks) if !toks.is_empty() => toks
-                .iter()
-                .map(|t| parse_strategy(t))
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => vec![AttackStrategy::FakeLink],
-        };
+        let strategies = parse_tokens(msg, "strategies", parse_strategy, AttackStrategy::FakeLink)?;
         if models.len() * strategies.len() > 64 {
             return Err(format!(
                 "{} models x {} strategies exceeds the 64-cell fused-pass cap",
@@ -340,14 +355,11 @@ impl Query {
                 strategies.len()
             ));
         }
-        let budget = match field(text, "budget", json_u64_field(text, "budget"))? {
-            Some(0) | None => None,
-            Some(b) => Some(b),
-        };
-        let deadline_ms = match field(text, "deadline_ms", json_u64_field(text, "deadline_ms"))? {
-            Some(0) | None => None,
-            Some(ms) => Some(ms),
-        };
+        let budget = msg.opt("budget", UINT, Json::as_u64)?.filter(|&b| b > 0);
+        let seed = msg.opt("seed", UINT, Json::as_u64)?.unwrap_or(0);
+        let deadline_ms = msg
+            .opt("deadline_ms", UINT, Json::as_u64)?
+            .filter(|&ms| ms > 0);
         let pairs_exist = destinations
             .iter()
             .any(|d| attackers.iter().any(|m| m != d));
@@ -364,7 +376,7 @@ impl Query {
             variant,
             strategies,
             budget,
-            seed: field(text, "seed", json_u64_field(text, "seed"))?.unwrap_or(0),
+            seed,
             deadline_ms,
         })
     }
@@ -396,15 +408,21 @@ impl Query {
 // The planner
 // ---------------------------------------------------------------------------
 
-/// One evaluated cell of a reply.
-#[derive(Clone, Debug)]
-struct CellAnswer {
-    cell: PolicyCell,
-    lower: f64,
-    upper: f64,
-    hw_lower: f64,
-    hw_upper: f64,
-    pairs: u64,
+/// One evaluated cell of a reply: `value ± halfwidth` over `pairs` pairs.
+fn cell_reply(cell: PolicyCell, value: Bounds, halfwidth: Bounds, pairs: u64) -> Json {
+    // `f64` Display is the shortest exact round trip, so replies are
+    // bit-faithful.
+    let num = |v: f64| Json::Num(v.to_string());
+    Json::obj([
+        ("model", model_token(cell.policy.model).into()),
+        ("variant", Json::Str(variant_token(cell.policy.variant))),
+        ("strategy", Json::Str(strategy_token(cell.strategy))),
+        ("lower", num(value.lower)),
+        ("upper", num(value.upper)),
+        ("hw_lower", num(halfwidth.lower)),
+        ("hw_upper", num(halfwidth.upper)),
+        ("pairs", pairs.into()),
+    ])
 }
 
 /// Exact-path accumulator, merged in item order (deterministic at any
@@ -470,45 +488,40 @@ impl Planner {
 
     /// The `{"op":"ready",...}` hello frame payload.
     pub fn hello(&self) -> String {
-        format!(
-            "{{\"op\":\"ready\",\"schema\":\"{PLANNER_SCHEMA}\",\"graph\":\"{}\",\"asns\":{}}}",
-            sanitize(&self.net.name),
-            self.net.len()
+        let graph = sanitize(&self.net.name);
+        frame(
+            "ready",
+            [("graph", graph), ("asns", (self.net.len() as u64).into())],
         )
     }
 
     fn encode_error(id: u64, msg: &str) -> String {
-        format!(
-            "{{\"op\":\"error\",\"schema\":\"{PLANNER_SCHEMA}\",\"id\":{id},\"error\":\"{}\"}}",
-            sanitize(msg)
-        )
+        frame("error", [("id", id.into()), ("error", sanitize(msg))])
     }
 
     /// Handle one message; `None` means a clean shutdown request.
     pub fn handle(&mut self, text: &str) -> Option<String> {
-        let Some(op) = json_str_field(text, "op") else {
-            return Some(Self::encode_error(
-                json_u64_field(text, "id").unwrap_or(0),
-                "malformed message: no op field",
-            ));
-        };
-        match op {
-            "shutdown" => None,
-            "stats" => Some(format!(
-                "{{\"op\":\"stats\",\"schema\":\"{PLANNER_SCHEMA}\",\"queries\":{}}}",
-                self.queries
-            )),
-            "query" => {
-                let id = json_u64_field(text, "id").unwrap_or(0);
-                match Query::parse(text, self.net.len()) {
-                    Ok(q) => Some(self.answer(&q)),
-                    Err(e) => Some(Self::encode_error(id, &e)),
-                }
+        let msg = match Json::parse(text) {
+            Ok(msg) => msg,
+            // A broken object says where it broke; other text has no op.
+            Err(e) if text.trim_start().starts_with('{') => {
+                return Some(Self::encode_error(0, &format!("malformed message: {e}")))
             }
-            other => Some(Self::encode_error(
-                json_u64_field(text, "id").unwrap_or(0),
-                &format!("unknown op {other:?}"),
-            )),
+            Err(_) => return Some(Self::encode_error(0, "malformed message: no op field")),
+        };
+        let id = msg.get("id").and_then(Json::as_u64).unwrap_or(0);
+        match msg.get("op").and_then(Json::as_str) {
+            None => Some(Self::encode_error(id, "malformed message: no op field")),
+            Some("query") => Some(match Query::from_json(&msg, self.net.len()) {
+                Ok(q) => self.answer(&q),
+                Err(e) => Self::encode_error(id, &e),
+            }),
+            Some(op @ ("stats" | "shutdown")) => match msg.only_keys(&["op", "id"]) {
+                Err(e) => Some(Self::encode_error(id, &e)),
+                Ok(()) if op == "shutdown" => None,
+                Ok(()) => Some(frame("stats", [("queries", self.queries.into())])),
+            },
+            Some(other) => Some(Self::encode_error(id, &format!("unknown op {other:?}"))),
         }
     }
 
@@ -523,33 +536,16 @@ impl Planner {
             None => self.answer_exact(q, deadline),
         };
         match result {
-            Ok((mode, pairs, population, cells)) => {
-                let mut out = format!(
-                    "{{\"op\":\"reply\",\"schema\":\"{PLANNER_SCHEMA}\",\"id\":{},\
-                     \"mode\":\"{mode}\",\"pairs\":{pairs},\"population\":{population},\
-                     \"cells\":[",
-                    q.id
-                );
-                for (i, c) in cells.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!(
-                        "{{\"model\":\"{}\",\"variant\":\"{}\",\"strategy\":\"{}\",\
-                         \"lower\":{},\"upper\":{},\"hw_lower\":{},\"hw_upper\":{},\"pairs\":{}}}",
-                        model_token(c.cell.policy.model),
-                        variant_token(c.cell.policy.variant),
-                        strategy_token(c.cell.strategy),
-                        fmt_f64(c.lower),
-                        fmt_f64(c.upper),
-                        fmt_f64(c.hw_lower),
-                        fmt_f64(c.hw_upper),
-                        c.pairs
-                    ));
-                }
-                out.push_str("]}");
-                out
-            }
+            Ok((mode, pairs, population, cells)) => frame(
+                "reply",
+                [
+                    ("id", q.id.into()),
+                    ("mode", mode.into()),
+                    ("pairs", pairs.into()),
+                    ("population", population.into()),
+                    ("cells", Json::Arr(cells)),
+                ],
+            ),
             Err(e) => Self::encode_error(q.id, &e),
         }
     }
@@ -561,7 +557,7 @@ impl Planner {
         &self,
         q: &Query,
         deadline: Option<Instant>,
-    ) -> Result<(&'static str, u64, u64, Vec<CellAnswer>), String> {
+    ) -> Result<(&'static str, u64, u64, Vec<Json>), String> {
         let n = self.net.len();
         let dep = q.deployment(n);
         let cells = q.cell_set();
@@ -603,14 +599,12 @@ impl Planner {
                 q.deadline_ms.unwrap_or(0)
             ));
         }
+        let n = acc.pairs.max(1) as f64;
         let answers = (0..ncells)
-            .map(|c| CellAnswer {
-                cell: cells.lanes()[cells.lane_of(c)],
-                lower: acc.lower[c] / acc.pairs.max(1) as f64,
-                upper: acc.upper[c] / acc.pairs.max(1) as f64,
-                hw_lower: 0.0,
-                hw_upper: 0.0,
-                pairs: acc.pairs,
+            .map(|c| {
+                let (lower, upper) = (acc.lower[c] / n, acc.upper[c] / n);
+                let cell = cells.lanes()[cells.lane_of(c)];
+                cell_reply(cell, Bounds { lower, upper }, Bounds::default(), acc.pairs)
             })
             .collect();
         Ok(("exact", acc.pairs, acc.pairs, answers))
@@ -624,7 +618,7 @@ impl Planner {
         q: &Query,
         budget: u64,
         deadline: Option<Instant>,
-    ) -> Result<(&'static str, u64, u64, Vec<CellAnswer>), String> {
+    ) -> Result<(&'static str, u64, u64, Vec<Json>), String> {
         if let Some(dl) = deadline {
             // The adaptive loop has no abort hook; honor the deadline at
             // the query boundary (best effort, documented).
@@ -645,20 +639,14 @@ impl Planner {
         let cfg = EstimatorConfig::with_budget(budget, q.seed);
         let runs = estimate_adaptive_cells_eval(&universe, &cfg, &eval, self.cfg.parallelism);
         let mut pairs = 0;
-        let answers: Vec<CellAnswer> = runs
+        let answers = runs
             .iter()
             .enumerate()
             .map(|(c, run)| {
                 let est = run.estimates[0];
                 pairs = pairs.max(est.pairs);
-                CellAnswer {
-                    cell: cells.lanes()[cells.lane_of(c)],
-                    lower: est.value.lower,
-                    upper: est.value.upper,
-                    hw_lower: est.halfwidth.lower,
-                    hw_upper: est.halfwidth.upper,
-                    pairs: est.pairs,
-                }
+                let cell = cells.lanes()[cells.lane_of(c)];
+                cell_reply(cell, est.value, est.halfwidth, est.pairs)
             })
             .collect();
         Ok(("estimate", pairs, universe.population(), answers))
@@ -676,10 +664,7 @@ impl Planner {
                 Ok(Some(text)) => match self.handle(&text) {
                     Some(reply) => write_frame(w, &reply)?,
                     None => {
-                        write_frame(
-                            w,
-                            &format!("{{\"op\":\"bye\",\"schema\":\"{PLANNER_SCHEMA}\"}}"),
-                        )?;
+                        write_frame(w, &frame("bye", []))?;
                         return Ok(());
                     }
                 },

@@ -47,6 +47,7 @@ use std::time::{Duration, Instant};
 use sbgp_topology::AsId;
 
 use crate::faultpoint;
+use crate::json::Json;
 use crate::stats::{
     self, AdaptiveRun, CellEval, CellStats, EstimatorConfig, PairUniverse, StratumStats, Welford,
 };
@@ -102,67 +103,8 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<String>> {
 }
 
 // ---------------------------------------------------------------------------
-// Wire messages (hand-rolled JSON, like every serializer in this repo)
+// Wire messages (compact JSON through the `crate::json` codec)
 // ---------------------------------------------------------------------------
-
-pub(crate) fn json_str_field<'t>(text: &'t str, key: &str) -> Option<&'t str> {
-    let pat = format!("\"{key}\":\"");
-    let start = text.find(&pat)? + pat.len();
-    let rest = &text[start..];
-    Some(&rest[..rest.find('"')?])
-}
-
-pub(crate) fn json_u64_field(text: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = text.find(&pat)? + pat.len();
-    let rest = &text[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Parse a flat or one-level-nested array of unsigned integers starting at
-/// `"key":[` — every number in source order, nesting flattened.
-pub(crate) fn json_u64s(text: &str, key: &str) -> Option<Vec<u64>> {
-    let pat = format!("\"{key}\":[");
-    let start = text.find(&pat)? + pat.len() - 1;
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut cur: Option<u64> = None;
-    for c in text[start..].chars() {
-        match c {
-            '[' => depth += 1,
-            ']' | ',' => {
-                if let Some(v) = cur.take() {
-                    out.push(v);
-                }
-                if c == ']' {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some(out);
-                    }
-                }
-            }
-            '0'..='9' => cur = Some(cur.unwrap_or(0) * 10 + (c as u64 - '0' as u64)),
-            _ => return None,
-        }
-    }
-    None
-}
-
-pub(crate) fn sanitize(msg: &str) -> String {
-    msg.chars()
-        .map(|c| {
-            if c == '"' || c == '\\' || c.is_control() {
-                ' '
-            } else {
-                c
-            }
-        })
-        .take(300)
-        .collect()
-}
 
 /// A coordinator→worker message, as the worker loop consumes it.
 #[derive(Clone, Debug, PartialEq)]
@@ -183,104 +125,111 @@ pub enum WorkerMsg {
     Shutdown,
 }
 
-/// Encode an init message around an opaque single-line JSON payload.
+/// A compact `{"type":ty,...}` wire frame.
+fn frame<const N: usize>(ty: &str, members: [(&str, Json); N]) -> String {
+    Json::obj([("type", ty.into())].into_iter().chain(members)).to_string()
+}
+
+/// Encode an init message; the opaque payload travels as a JSON string.
 pub fn encode_init(payload: &str) -> String {
-    format!("{{\"type\":\"init\",\"payload\":{payload}}}")
+    frame("init", [("payload", payload.into())])
 }
 
 /// Encode a task message.
 pub fn encode_task(id: u64, dest: AsId, attackers: &[(AsId, usize)]) -> String {
-    let mut s = format!(
-        "{{\"type\":\"task\",\"id\":{id},\"dest\":{},\"attackers\":[",
-        dest.0
-    );
-    for (i, (m, h)) in attackers.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!("[{},{h}]", m.0));
-    }
-    s.push_str("]}");
-    s
+    let pairs = attackers
+        .iter()
+        .map(|&(m, h)| vec![u64::from(m.0), h as u64].into());
+    let dest = u64::from(dest.0).into();
+    frame(
+        "task",
+        [
+            ("id", id.into()),
+            ("dest", dest),
+            ("attackers", Json::Arr(pairs.collect())),
+        ],
+    )
 }
 
 /// The shutdown message.
 pub fn encode_shutdown() -> String {
-    "{\"type\":\"shutdown\"}".to_string()
+    frame("shutdown", [])
 }
 
 /// Encode the worker's post-init handshake: the shape it will produce.
 pub fn encode_ready(cell_stats: &[usize], nstrata: usize) -> String {
-    let mut s = String::from("{\"type\":\"ready\",\"stats\":[");
-    for (i, k) in cell_stats.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&k.to_string());
-    }
-    s.push_str(&format!("],\"strata\":{nstrata}}}"));
-    s
+    let stats: Vec<u64> = cell_stats.iter().map(|&k| k as u64).collect();
+    frame(
+        "ready",
+        [("stats", stats.into()), ("strata", (nstrata as u64).into())],
+    )
 }
 
 /// Encode a task result (the flat accumulator data of [`encode_task`]'s
 /// group — see [`eval_task_data`] for the layout).
 pub fn encode_result(id: u64, data: &[u64]) -> String {
-    let mut s = format!("{{\"type\":\"result\",\"id\":{id},\"data\":[");
-    for (i, v) in data.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&v.to_string());
-    }
-    s.push_str("]}");
-    s
+    frame(
+        "result",
+        [("id", id.into()), ("data", data.to_vec().into())],
+    )
 }
 
 /// Encode a recoverable per-task failure (the worker survives; the
 /// coordinator strikes the task).
 pub fn encode_error(id: u64, msg: &str) -> String {
-    format!(
-        "{{\"type\":\"error\",\"id\":{id},\"msg\":\"{}\"}}",
-        sanitize(msg)
-    )
+    frame("error", [("id", id.into()), ("msg", msg.into())])
 }
 
 /// Parse a coordinator→worker frame.
 pub fn parse_worker_msg(text: &str) -> Result<WorkerMsg, String> {
-    match json_str_field(text, "type") {
+    let msg = Json::parse(text)?;
+    match msg.get("type").and_then(Json::as_str) {
         Some("init") => {
-            let pat = "\"payload\":";
-            let start = text
-                .find(pat)
-                .ok_or_else(|| "init without payload".to_string())?
-                + pat.len();
-            let payload = text[start..]
-                .strip_suffix('}')
-                .ok_or_else(|| "unterminated init".to_string())?;
+            msg.only_keys(&["type", "payload"])?;
+            let payload = msg.req("payload", "a string", Json::as_str)?;
             Ok(WorkerMsg::Init(payload.to_string()))
         }
         Some("task") => {
-            let id = json_u64_field(text, "id").ok_or_else(|| "task without id".to_string())?;
-            let dest =
-                json_u64_field(text, "dest").ok_or_else(|| "task without dest".to_string())?;
-            let flat =
-                json_u64s(text, "attackers").ok_or_else(|| "task without attackers".to_string())?;
-            if flat.len() % 2 != 0 {
-                return Err("odd attacker list".to_string());
-            }
-            let attackers = flat
-                .chunks_exact(2)
-                .map(|p| (AsId(p[0] as u32), p[1] as usize))
-                .collect();
-            Ok(WorkerMsg::Task {
-                id,
-                dest: AsId(dest as u32),
-                attackers,
-            })
+            decode_task(&msg).ok_or_else(|| format!("malformed task frame {text:.200}"))
         }
-        Some("shutdown") => Ok(WorkerMsg::Shutdown),
+        Some("shutdown") => {
+            msg.only_keys(&["type"])?;
+            Ok(WorkerMsg::Shutdown)
+        }
         other => Err(format!("unknown message type {other:?}")),
     }
+}
+
+fn decode_task(msg: &Json) -> Option<WorkerMsg> {
+    msg.only_keys(&["type", "id", "dest", "attackers"]).ok()?;
+    let as_id = |v: &Json| v.as_u64().and_then(|v| u32::try_from(v).ok()).map(AsId);
+    let attackers = msg
+        .get("attackers")?
+        .as_array()?
+        .iter()
+        .map(|pair| match pair.as_array()? {
+            [m, h] => Some((as_id(m)?, usize::try_from(h.as_u64()?).ok()?)),
+            _ => None,
+        })
+        .collect::<Option<Vec<_>>>()?;
+    Some(WorkerMsg::Task {
+        id: msg.get("id")?.as_u64()?,
+        dest: as_id(msg.get("dest")?)?,
+        attackers,
+    })
+}
+
+/// A worker's `ready` handshake: `(stats, strata)`.
+fn decode_ready(msg: &Json) -> Option<(Vec<u64>, u64)> {
+    msg.only_keys(&["type", "stats", "strata"]).ok()?;
+    Some((msg.get("stats")?.as_u64s()?, msg.get("strata")?.as_u64()?))
+}
+
+/// A task `result`: `(id, data)`. `None` is a wrong-schema reply, which
+/// includes any data word outside `0..=u64::MAX` (refused, never wrapped).
+fn decode_result(msg: &Json) -> Option<(u64, Vec<u64>)> {
+    msg.only_keys(&["type", "id", "data"]).ok()?;
+    Some((msg.get("id")?.as_u64()?, msg.get("data")?.as_u64s()?))
 }
 
 // ---------------------------------------------------------------------------
@@ -734,12 +683,11 @@ impl Supervisor {
                     let Some(slot) = self.slot_of(spawn_id) else {
                         continue;
                     };
-                    match json_str_field(&frame, "type") {
+                    let msg = Json::parse(&frame).unwrap_or(Json::Null);
+                    match msg.get("type").and_then(Json::as_str) {
                         Some("ready") => {
-                            let stats = json_u64s(&frame, "stats").unwrap_or_default();
-                            let strata = json_u64_field(&frame, "strata");
                             let want: Vec<u64> = cell_stats.iter().map(|&k| k as u64).collect();
-                            if stats == want && strata == Some(nstrata as u64) {
+                            if decode_ready(&msg) == Some((want, nstrata as u64)) {
                                 self.set_state(slot, ProcState::Idle);
                                 self.slots[slot].failures = 0;
                                 self.boot_failures = 0;
@@ -759,10 +707,8 @@ impl Supervisor {
                                 self.retire(slot, true);
                                 continue;
                             };
-                            let id = json_u64_field(&frame, "id");
-                            let data = json_u64s(&frame, "data");
-                            match (id, data) {
-                                (Some(id), Some(data))
+                            match decode_result(&msg) {
+                                Some((id, data))
                                     if id == task as u64 && data.len() == expected_len =>
                                 {
                                     outcomes[task] = Some(TaskOutcome::Done(data));
@@ -793,11 +739,12 @@ impl Supervisor {
                                 self.retire(slot, true);
                                 continue;
                             };
-                            let msg = json_str_field(&frame, "msg").unwrap_or("?").to_string();
+                            let why = msg.get("msg").and_then(Json::as_str).unwrap_or("?");
+                            let why = format!("worker{spawn_id} eval failed: {why}");
                             self.set_state(slot, ProcState::Idle);
                             charge_strike(
                                 task,
-                                &format!("worker{spawn_id} eval failed: {msg}"),
+                                &why,
                                 max_strikes,
                                 &mut strikes,
                                 &mut queue,
@@ -1002,6 +949,7 @@ mod tests {
 
     #[test]
     fn messages_round_trip() {
+        let parse = |text: &str| Json::parse(text).unwrap();
         let init = encode_init("{\"figure\":\"baseline\",\"asns\":400}");
         match parse_worker_msg(&init).unwrap() {
             WorkerMsg::Init(p) => assert_eq!(p, "{\"figure\":\"baseline\",\"asns\":400}"),
@@ -1029,20 +977,49 @@ mod tests {
             parse_worker_msg(&encode_shutdown()).unwrap(),
             WorkerMsg::Shutdown
         );
-        assert!(parse_worker_msg("{\"type\":\"task\"}").is_err());
-        assert!(parse_worker_msg("nonsense").is_err());
+        for bad in [
+            "{\"type\":\"task\"}",
+            "nonsense",
+            "{\"type\":\"task\",\"id\":1,\"dest\":2,\"attackers\":[[5,0,1]]}",
+            "{\"type\":\"task\",\"id\":1,\"dest\":4294967296,\"attackers\":[]}",
+            "{\"type\":\"task\",\"id\":1,\"dest\":2,\"attackers\":[],\"extra\":0}",
+            "{\"type\":\"init\",\"payload\":{}}",
+            "{\"type\":\"shutdown\"} trailing",
+        ] {
+            assert!(parse_worker_msg(bad).is_err(), "accepted {bad}");
+        }
 
         let ready = encode_ready(&[4, 4, 4], 25);
-        assert_eq!(json_u64s(&ready, "stats"), Some(vec![4, 4, 4]));
-        assert_eq!(json_u64_field(&ready, "strata"), Some(25));
+        assert_eq!(decode_ready(&parse(&ready)), Some((vec![4, 4, 4], 25)));
 
         let result = encode_result(3, &[1, u64::MAX, 0]);
-        assert_eq!(json_u64_field(&result, "id"), Some(3));
-        assert_eq!(json_u64s(&result, "data"), Some(vec![1, u64::MAX, 0]));
+        assert_eq!(
+            decode_result(&parse(&result)),
+            Some((3, vec![1, u64::MAX, 0]))
+        );
 
-        let err = encode_error(2, "boom \"quoted\"\nline");
-        assert_eq!(json_u64_field(&err, "id"), Some(2));
-        assert_eq!(json_str_field(&err, "msg"), Some("boom  quoted  line"));
+        let err = parse(&encode_error(2, "boom \"quoted\"\nline"));
+        assert_eq!(err.get("id").and_then(Json::as_u64), Some(2));
+        assert_eq!(
+            err.get("msg").and_then(Json::as_str),
+            Some("boom \"quoted\"\nline")
+        );
+    }
+
+    /// A data word above `u64::MAX` makes the result wrong-schema (a
+    /// strike), never a wrapped value; so do extra keys and a missing id.
+    #[test]
+    fn out_of_range_result_words_are_wrong_schema() {
+        for bad in [
+            "{\"type\":\"result\",\"id\":0,\"data\":[18446744073709551616]}",
+            "{\"type\":\"result\",\"id\":0,\"data\":[1,-1]}",
+            "{\"type\":\"result\",\"id\":0,\"data\":[1.5]}",
+            "{\"type\":\"result\",\"id\":0,\"data\":[[1]]}",
+            "{\"type\":\"result\",\"data\":[1]}",
+            "{\"type\":\"result\",\"id\":0,\"data\":[1],\"more\":[2]}",
+        ] {
+            assert_eq!(decode_result(&Json::parse(bad).unwrap()), None, "{bad}");
+        }
     }
 
     #[test]
@@ -1062,7 +1039,7 @@ mod tests {
             data.extend_from_slice(&[n, mean.to_bits(), m2.to_bits()]);
         }
         let text = encode_result(0, &data);
-        let back = json_u64s(&text, "data").unwrap();
+        let (_, back) = decode_result(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, data);
         let decoded = decode_result_data(&back, &[1], 1);
         let d = &decoded[0][0][0];
