@@ -1,25 +1,32 @@
-//! Churn benchmark: a wax-and-wane deployment trajectory (the Tier-2
-//! ladder climbed to its peak and eroded back down) evaluated from
-//! scratch (one [`Engine::compute`] per step) against the retraction-
-//! capable [`SweepEngine`] path — cross-checked for identical happy
-//! counts and emitted as `BENCH_churn.json` for the perf trajectory and
-//! the CI bench-smoke job.
+//! Churn benchmark, and the repo's one sweep-vs-scratch bench: a
+//! wax-and-wane deployment trajectory (the Tier-2 rollout ladder of the
+//! paper's §5 figures climbed to its peak and eroded back down) evaluated
+//! from scratch (one [`Engine::compute`] per step) against the
+//! retraction-capable [`SweepEngine`] path — cross-checked for identical
+//! happy counts and emitted as `BENCH_churn.json` for the perf trajectory
+//! and the CI bench-smoke job.
 //!
-//! The wane half is pure retractions, so its timings isolate the engine's
-//! retraction path; the acceptance gate requires those steps to be at
-//! least 2× faster than the full-recompute fallback at 4000 ASes.
+//! Each half is timed on its own. The wax half is a monotone rollout, so
+//! its ratio (`growth_speedup`) is what incremental sweeps buy the
+//! rollout figures; the wane half is pure retractions, so its timings
+//! isolate the engine's retraction path. The acceptance gate requires
+//! those retraction steps to be at least 2× faster than the
+//! full-recompute fallback at 4000 ASes, and `--validate` rejects a file
+//! whose enforced gate is below it.
 //!
 //! ```text
 //! bench_churn --asns 4000 --seed 42 --out BENCH_churn.json
-//! bench_churn --validate BENCH_churn.json   # schema drift check
+//! bench_churn --validate BENCH_churn.json   # schema and gate check
 //! ```
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use sbgp_bench::{require_numbers, require_tag, validate_json};
-use sbgp_core::{AttackScenario, Engine, Policy, SecurityModel, SweepEngine, SweepStats};
+use sbgp_bench::{require_gate, require_numbers, require_tag, validate_json};
+use sbgp_core::{
+    AttackScenario, Deployment, Engine, Policy, SecurityModel, SweepEngine, SweepStats,
+};
 use sbgp_sim::json::Json;
 use sbgp_sim::{sample, scenario, Internet};
 use sbgp_topology::AsId;
@@ -80,15 +87,23 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     Ok(a)
 }
 
-/// Schema check for an emitted JSON (the CI drift gate).
+/// Schema and gate check for an emitted JSON (the CI drift gate).
 fn validate(path: &std::path::Path) -> Result<(), String> {
     validate_json(path, |doc| {
         require_tag(doc, "bench", "churn")?;
         require_numbers(
             doc,
-            &["asns", "seed", "peak", "steps", "pairs", "overall_speedup"],
+            &[
+                "asns",
+                "seed",
+                "peak",
+                "steps",
+                "pairs",
+                "overall_speedup",
+                "growth_speedup",
+            ],
         )?;
-        doc.req("gate", "an object", Json::as_object)?;
+        require_gate(doc, "retraction_speedup", GATE_ASNS as f64, GATE_SPEEDUP)?;
         for m in doc.req("models", "an array", Json::as_array)? {
             require_numbers(
                 m,
@@ -96,6 +111,9 @@ fn validate(path: &std::path::Path) -> Result<(), String> {
                     "scratch_ms",
                     "sweep_ms",
                     "speedup",
+                    "wax_scratch_ms",
+                    "wax_sweep_ms",
+                    "growth_speedup",
                     "wane_scratch_ms",
                     "wane_sweep_ms",
                     "retraction_speedup",
@@ -109,22 +127,70 @@ fn validate(path: &std::path::Path) -> Result<(), String> {
     })
 }
 
-struct ModelResult {
-    model: SecurityModel,
-    scratch_ms: f64,
-    sweep_ms: f64,
-    wane_scratch_ms: f64,
-    wane_sweep_ms: f64,
-    stats: SweepStats,
+/// Wall times of one side: the whole trajectory and each half, summed
+/// over the pairs.
+#[derive(Clone, Copy, Default)]
+struct Times {
+    total: Duration,
+    wax: Duration,
+    wane: Duration,
 }
 
-impl ModelResult {
-    fn speedup(&self) -> f64 {
-        self.scratch_ms / self.sweep_ms.max(1e-9)
+impl Times {
+    const MAX: Times = Times {
+        total: Duration::MAX,
+        wax: Duration::MAX,
+        wane: Duration::MAX,
+    };
+
+    /// The per-field minimum: each side reports its best of [`REPS`].
+    fn min(self, o: Times) -> Times {
+        Times {
+            total: self.total.min(o.total),
+            wax: self.wax.min(o.wax),
+            wane: self.wane.min(o.wane),
+        }
     }
-    fn retraction_speedup(&self) -> f64 {
-        self.wane_scratch_ms / self.wane_sweep_ms.max(1e-9)
+}
+
+/// One timed pass over every pair: `run(pair, half, first)` walks the wax
+/// half (`first` set) and then the wane half, returning the happy count
+/// summed over the half's steps. Returns the pass's times and its total
+/// happy count.
+fn timed_pass(
+    pairs: &[(AsId, AsId)],
+    wax: &[Deployment],
+    wane: &[Deployment],
+    mut run: impl FnMut((AsId, AsId), &[Deployment], bool) -> usize,
+) -> (Times, usize) {
+    let mut times = Times::default();
+    let mut happy = 0;
+    let start = Instant::now();
+    for &pair in pairs {
+        let t_wax = Instant::now();
+        happy += run(pair, wax, true);
+        let t_wane = Instant::now();
+        happy += run(pair, wane, false);
+        times.wax += t_wane - t_wax;
+        times.wane += t_wane.elapsed();
     }
+    times.total = start.elapsed();
+    (times, happy)
+}
+
+fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
+}
+
+fn ratio(scratch: Duration, sweep: Duration) -> f64 {
+    scratch.as_secs_f64() / sweep.as_secs_f64().max(1e-12)
+}
+
+struct ModelResult {
+    model: SecurityModel,
+    scratch: Times,
+    sweep: Times,
+    stats: SweepStats,
 }
 
 fn main() {
@@ -152,8 +218,9 @@ fn main() {
     let t0 = Instant::now();
     let net = Internet::synthetic(args.asns, args.seed);
     let traj = scenario::churn_trajectory(&net, args.peak);
-    // The wane half: indices peak..(2*peak-1), every one a pure retraction.
-    let wane_from = args.peak;
+    // The wax half climbs to the peak; the wane half (indices
+    // peak..(2*peak-1)) is every one a pure retraction.
+    let (wax, wane) = traj.split_at(args.peak);
     let attackers = sample::sample_non_stubs(&net, 3, args.seed);
     let dests: Vec<AsId> = sample::sample_all(&net, 2, args.seed ^ 0xD)
         .into_iter()
@@ -171,7 +238,7 @@ fn main() {
         "trajectory: {} steps (peak {}, {} retraction steps); {} (m, d) pairs",
         traj.len(),
         args.peak,
-        traj.len() - wane_from,
+        wane.len(),
         pairs.len()
     );
     println!();
@@ -181,54 +248,44 @@ fn main() {
         let policy = Policy::with_variant(model, sbgp_core::LpVariant::Standard);
 
         // Side 1: every step from scratch — what the engine's fallback
-        // does, and what a sweep without a retraction path would do for
-        // every wane step.
-        let mut scratch = Duration::MAX;
-        let mut wane_scratch = Duration::MAX;
-        let mut scratch_counts = 0usize;
+        // does, and what a sweep without an incremental path would do for
+        // every step.
+        let mut scratch = Times::MAX;
+        let mut scratch_counts = 0;
         let mut engine = Engine::new(&net.graph);
         for _ in 0..REPS {
-            let mut wane = Duration::ZERO;
-            let t = Instant::now();
-            scratch_counts = 0;
-            for &(m, d) in &pairs {
-                for (k, dep) in traj.iter().enumerate() {
-                    let t_step = Instant::now();
-                    let o = engine.compute(AttackScenario::attack(m, d), dep, policy);
-                    scratch_counts += o.count_happy().0;
-                    if k >= wane_from {
-                        wane += t_step.elapsed();
-                    }
-                }
-            }
-            scratch = scratch.min(t.elapsed());
-            wane_scratch = wane_scratch.min(wane);
+            let (t, happy) = timed_pass(&pairs, wax, wane, |(m, d), steps, _| {
+                let attack = AttackScenario::attack(m, d);
+                steps
+                    .iter()
+                    .map(|dep| engine.compute(attack, dep, policy).count_happy().0)
+                    .sum()
+            });
+            scratch = scratch.min(t);
+            scratch_counts = happy;
         }
 
         // Side 2: one retraction-capable sweep per pair.
-        let mut swept = Duration::MAX;
-        let mut wane_swept = Duration::MAX;
-        let mut sweep_counts = 0usize;
+        let mut swept = Times::MAX;
+        let mut sweep_counts = 0;
         let mut sweep = SweepEngine::new(&net.graph);
         let mut stats = SweepStats::default();
         for _ in 0..REPS {
             let before = sweep.stats();
-            let mut wane = Duration::ZERO;
-            let t = Instant::now();
-            sweep_counts = 0;
-            for &(m, d) in &pairs {
-                sweep.begin(AttackScenario::attack(m, d), policy);
-                for (k, dep) in traj.iter().enumerate() {
-                    let t_step = Instant::now();
-                    sweep.advance(dep);
-                    sweep_counts += sweep.count_happy().0;
-                    if k >= wane_from {
-                        wane += t_step.elapsed();
-                    }
+            let (t, happy) = timed_pass(&pairs, wax, wane, |(m, d), steps, first| {
+                if first {
+                    sweep.begin(AttackScenario::attack(m, d), policy);
                 }
-            }
-            swept = swept.min(t.elapsed());
-            wane_swept = wane_swept.min(wane);
+                steps
+                    .iter()
+                    .map(|dep| {
+                        sweep.advance(dep);
+                        sweep.count_happy().0
+                    })
+                    .sum()
+            });
+            swept = swept.min(t);
+            sweep_counts = happy;
             stats = sweep.stats().delta_since(&before);
         }
 
@@ -238,21 +295,20 @@ fn main() {
         );
         let r = ModelResult {
             model,
-            scratch_ms: scratch.as_secs_f64() * 1e3,
-            sweep_ms: swept.as_secs_f64() * 1e3,
-            wane_scratch_ms: wane_scratch.as_secs_f64() * 1e3,
-            wane_sweep_ms: wane_swept.as_secs_f64() * 1e3,
+            scratch,
+            sweep: swept,
             stats,
         };
         println!(
             "{:<8} scratch {:>9.1} ms   sweep {:>9.1} ms   speedup {:>5.2}x   \
-             retraction steps {:>5.2}x   ({} retracting / {} monotone / {} fallback steps, \
-             re-fixed {:>4.1}% of AS-steps)",
+             growth steps {:>5.2}x   retraction steps {:>5.2}x   ({} retracting / \
+             {} monotone / {} fallback steps, re-fixed {:>4.1}% of AS-steps)",
             r.model.label(),
-            r.scratch_ms,
-            r.sweep_ms,
-            r.speedup(),
-            r.retraction_speedup(),
+            ms(r.scratch.total),
+            ms(r.sweep.total),
+            ratio(r.scratch.total, r.sweep.total),
+            ratio(r.scratch.wax, r.sweep.wax),
+            ratio(r.scratch.wane, r.sweep.wane),
             r.stats.retracting_steps,
             r.stats.monotone_steps,
             r.stats.fallback_steps,
@@ -261,14 +317,15 @@ fn main() {
         results.push(r);
     }
 
-    let scratch_total: f64 = results.iter().map(|r| r.scratch_ms).sum();
-    let sweep_total: f64 = results.iter().map(|r| r.sweep_ms).sum();
-    let overall = scratch_total / sweep_total.max(1e-9);
-    let wane_scratch_total: f64 = results.iter().map(|r| r.wane_scratch_ms).sum();
-    let wane_sweep_total: f64 = results.iter().map(|r| r.wane_sweep_ms).sum();
-    let retraction = wane_scratch_total / wane_sweep_total.max(1e-9);
+    let sum = |f: fn(&ModelResult) -> Duration| results.iter().map(f).sum::<Duration>();
+    let overall = ratio(sum(|r| r.scratch.total), sum(|r| r.sweep.total));
+    let growth = ratio(sum(|r| r.scratch.wax), sum(|r| r.sweep.wax));
+    let retraction = ratio(sum(|r| r.scratch.wane), sum(|r| r.sweep.wane));
     println!();
-    println!("overall speedup: {overall:.2}x; retraction steps vs fallback: {retraction:.2}x");
+    println!(
+        "overall speedup: {overall:.2}x; growth steps: {growth:.2}x; \
+         retraction steps vs fallback: {retraction:.2}x"
+    );
 
     let gated = args.asns >= GATE_ASNS;
     if gated {
@@ -292,16 +349,20 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"model\": \"{}\", \"scratch_ms\": {:.3}, \"sweep_ms\": {:.3}, \
-             \"speedup\": {:.3}, \"wane_scratch_ms\": {:.3}, \"wane_sweep_ms\": {:.3}, \
+             \"speedup\": {:.3}, \"wax_scratch_ms\": {:.3}, \"wax_sweep_ms\": {:.3}, \
+             \"growth_speedup\": {:.3}, \"wane_scratch_ms\": {:.3}, \"wane_sweep_ms\": {:.3}, \
              \"retraction_speedup\": {:.3}, \"retracting_steps\": {}, \
              \"monotone_steps\": {}, \"fallback_steps\": {}, \"refixed_fraction\": {:.5}}}{}",
             r.model.label(),
-            r.scratch_ms,
-            r.sweep_ms,
-            r.speedup(),
-            r.wane_scratch_ms,
-            r.wane_sweep_ms,
-            r.retraction_speedup(),
+            ms(r.scratch.total),
+            ms(r.sweep.total),
+            ratio(r.scratch.total, r.sweep.total),
+            ms(r.scratch.wax),
+            ms(r.sweep.wax),
+            ratio(r.scratch.wax, r.sweep.wax),
+            ms(r.scratch.wane),
+            ms(r.sweep.wane),
+            ratio(r.scratch.wane, r.sweep.wane),
             r.stats.retracting_steps,
             r.stats.monotone_steps,
             r.stats.fallback_steps,
@@ -311,6 +372,7 @@ fn main() {
     }
     let _ = writeln!(json, "  ],");
     let _ = writeln!(json, "  \"overall_speedup\": {overall:.3},");
+    let _ = writeln!(json, "  \"growth_speedup\": {growth:.3},");
     let _ = writeln!(
         json,
         "  \"gate\": {{\"asns\": {}, \"threshold\": {GATE_SPEEDUP}, \"enforced\": {gated}, \
@@ -326,5 +388,56 @@ fn main() {
     if let Err(msg) = validate(&args.out) {
         eprintln!("self-check failed: {msg}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn check(name: &str, model: &str, gate: &str) -> Result<(), String> {
+        let path = std::env::temp_dir().join(format!(
+            "bench_churn_gate_{}_{name}.json",
+            std::process::id()
+        ));
+        let text = format!(
+            "{{\"bench\": \"churn\", \"asns\": 4000, \"seed\": 42, \"peak\": 10, \
+             \"steps\": 19, \"pairs\": 6, \"models\": [{model}], \"overall_speedup\": 6.2, \
+             \"growth_speedup\": 4.9, \"gate\": {gate}}}"
+        );
+        std::fs::write(&path, text).unwrap();
+        let result = validate(&path);
+        let _ = std::fs::remove_file(&path);
+        result
+    }
+
+    const MODEL: &str = "{\"model\": \"Sec 1st\", \"scratch_ms\": 33, \"sweep_ms\": 5.4, \
+                         \"speedup\": 6.2, \"wax_scratch_ms\": 18, \"wax_sweep_ms\": 3.6, \
+                         \"growth_speedup\": 5, \"wane_scratch_ms\": 15, \"wane_sweep_ms\": 1.7, \
+                         \"retraction_speedup\": 8.8, \"retracting_steps\": 54, \
+                         \"monotone_steps\": 54, \"fallback_steps\": 0, \"refixed_fraction\": 0.05}";
+
+    #[test]
+    fn validate_enforces_the_retraction_gate() {
+        let gate = |asns: u32, enforced: bool, speedup: f64| {
+            format!(
+                "{{\"asns\": {asns}, \"threshold\": 2, \"enforced\": {enforced}, \
+                 \"retraction_speedup\": {speedup}}}"
+            )
+        };
+        check("pass", MODEL, &gate(4000, true, 9.0)).unwrap();
+        // Below the threshold is fine where the gate does not apply (the smoke).
+        check("small", MODEL, &gate(600, false, 1.2)).unwrap();
+        for (name, g) in [
+            ("fail", gate(4000, true, 1.2)),
+            ("claimed", gate(600, true, 1.2)),
+        ] {
+            let err = check(name, MODEL, &g).unwrap_err();
+            assert!(err.contains("retraction_speedup 1.2 is below 2"), "{err}");
+        }
+        // The growth fields are required per model.
+        let no_wax = MODEL.replace("\"wax_sweep_ms\"", "\"wax_sweep\"");
+        let err = check("no_wax", &no_wax, &gate(4000, true, 9.0)).unwrap_err();
+        assert!(err.contains("wax_sweep_ms"), "{err}");
     }
 }

@@ -8,7 +8,8 @@
 //! The headline gate is the adjacency build: [`GraphBuilder::from_edges`]
 //! (collect → sort → dedup-scan → direct CSR fill) must beat the
 //! incremental per-edge HashMap path by ≥ 2× at 100k ASes, with the two
-//! graphs cross-checked identical segment by segment.
+//! graphs cross-checked identical segment by segment. A run at that scale
+//! asserts it, and `--validate` rejects a file whose gate is below it.
 //!
 //! `--emit-rel FILE` keeps the serialized snapshot on disk — the campaign
 //! runner's `--file` fixture source.
@@ -16,14 +17,14 @@
 //! ```text
 //! bench_ingest --asns 100000 --seed 42 --out BENCH_ingest.json
 //! bench_ingest --asns 1000 --emit-rel snap.as-rel   # fixture for campaign --file
-//! bench_ingest --validate BENCH_ingest.json         # schema drift check
+//! bench_ingest --validate BENCH_ingest.json         # schema and gate check
 //! ```
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use sbgp_bench::{require_numbers, require_tag, validate_json};
+use sbgp_bench::{require_gate, require_numbers, require_tag, validate_json};
 use sbgp_core::{AttackScenario, Deployment, Engine, Policy, SecurityModel};
 use sbgp_sim::json::Json;
 use sbgp_sim::{sample, Internet};
@@ -31,6 +32,10 @@ use sbgp_topology::{io, AsId, GraphBuilder, Relationship};
 
 /// Timed repetitions per stage; the minimum is reported.
 const REPS: usize = 3;
+/// Gate threshold: the bulk adjacency build vs the incremental HashMap path.
+const GATE_SPEEDUP: f64 = 2.0;
+/// Gate applies at this scale and above.
+const GATE_ASNS: usize = 100_000;
 
 struct Args {
     asns: Vec<usize>,
@@ -82,11 +87,11 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     Ok(a)
 }
 
-/// Schema check for an emitted JSON (the CI drift gate).
+/// Schema and gate check for an emitted JSON (the CI drift gate).
 fn validate(path: &std::path::Path) -> Result<(), String> {
     validate_json(path, |doc| {
         require_tag(doc, "bench", "ingest")?;
-        doc.req("gate", "an object", Json::as_object)?;
+        require_gate(doc, "build_speedup", GATE_ASNS as f64, GATE_SPEEDUP)?;
         for cell in doc.req("cells", "an array", Json::as_array)? {
             require_numbers(
                 cell,
@@ -346,6 +351,14 @@ fn main() {
         gate.asns,
         gate.speedup()
     );
+    if gate.asns >= GATE_ASNS {
+        assert!(
+            gate.speedup() >= GATE_SPEEDUP,
+            "acceptance gate: the bulk build must be ≥{GATE_SPEEDUP}x the HashMap \
+             path at {GATE_ASNS}+ ASes, measured {:.2}x",
+            gate.speedup()
+        );
+    }
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -394,5 +407,38 @@ fn main() {
     if let Err(msg) = validate(&args.out) {
         eprintln!("self-check failed: {msg}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn check(name: &str, gate: &str) -> Result<(), String> {
+        let cell = "{\"asns\": 100000, \"edges\": 1, \"lines\": 1, \"gen_ms\": 1, \
+                    \"write_ms\": 1, \"parse_ms\": 1, \"lines_per_sec\": 1, \
+                    \"bulk_build_ms\": 1, \"hashmap_build_ms\": 1, \"build_speedup\": 1, \
+                    \"load_ms\": 1, \"content_providers\": 17, \"group_ms\": 1, \
+                    \"attackers\": 40}";
+        let path = std::env::temp_dir().join(format!(
+            "bench_ingest_gate_{}_{name}.json",
+            std::process::id()
+        ));
+        let text = format!(
+            "{{\"bench\": \"ingest\", \"seed\": 42, \"cells\": [{cell}], \"gate\": {gate}}}"
+        );
+        std::fs::write(&path, text).unwrap();
+        let result = validate(&path);
+        let _ = std::fs::remove_file(&path);
+        result
+    }
+
+    #[test]
+    fn validate_enforces_the_build_gate_at_scale() {
+        check("pass", "{\"asns\": 100000, \"build_speedup\": 3.35}").unwrap();
+        // Below the threshold is fine below the gate's scale (the smoke).
+        check("small", "{\"asns\": 2000, \"build_speedup\": 1.5}").unwrap();
+        let err = check("fail", "{\"asns\": 100000, \"build_speedup\": 1.5}").unwrap_err();
+        assert!(err.contains("build_speedup 1.5 is below 2"), "{err}");
     }
 }

@@ -9,8 +9,8 @@
 //! trajectory of every cell, and feeds the CI bench-smoke job.
 //!
 //! The model axis is **fused**: all models of one `(figure, asns, seed)`
-//! group run through a single multi-cell estimator pass
-//! (`estimate_metric_sweep_cells` & friends), so one snapshot traversal serves
+//! group run through a single multi-cell estimator pass (one
+//! `SweepCellsEval` or `LadderCellsEval` kernel), so one snapshot traversal serves
 //! every model's lane — and at zero validators the models collapse onto
 //! one computation outright. Fused ≡ per-model bit for bit (pinned in
 //! `sbgp_sim::stats`), and a cell's estimates are independent of which
@@ -58,14 +58,14 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use sbgp_bench::{require_numbers, require_tag, sweep_rollout_steps};
+use sbgp_bench::{require_numbers, require_tag};
 use sbgp_core::{AttackStrategy, Deployment, Policy, SecurityModel};
 use sbgp_sim::faultpoint;
 use sbgp_sim::json::Json;
 use sbgp_sim::serve::{model_token, parse_model};
 use sbgp_sim::stats::{self, AdaptiveRun, EstimatorConfig, PairUniverse};
 use sbgp_sim::supervise::{self, Supervisor, SupervisorConfig, WorkerMsg};
-use sbgp_sim::{Internet, Parallelism};
+use sbgp_sim::{scenario, Internet, Parallelism};
 use sbgp_topology::AsId;
 
 /// Cell-file schema marker; bump on any layout change.
@@ -299,6 +299,53 @@ fn expected_steps(figure: Figure, args: &Args) -> usize {
         Figure::Rollout => args.rollout_steps + 1, // ∅ first
         Figure::Ladder => AttackStrategy::LADDER.len() + 1, // rungs + optimal
     }
+}
+
+/// One figure group's inputs: the pair universe it samples, the
+/// deployments every pair is walked through (∅ first) and one policy per
+/// model. The in-process path and the worker both build from here — that
+/// is what makes streamed accumulators merge to bit-identical estimates.
+fn figure_inputs(
+    figure: Figure,
+    net: &Internet,
+    models: &[SecurityModel],
+    steps: usize,
+) -> (PairUniverse, Vec<Deployment>, Vec<Policy>) {
+    let all: Vec<AsId> = net.graph.ases().collect();
+    let attackers = match figure {
+        Figure::Baseline => all.clone(),
+        Figure::Rollout | Figure::Ladder => net.tiers.non_stubs(),
+    };
+    let mut deps = vec![Deployment::empty(net.len())];
+    if figure == Figure::Rollout {
+        deps.extend(scenario::sweep_rollout_steps(net, steps));
+    }
+    let policies = models.iter().map(|&m| Policy::new(m)).collect();
+    (PairUniverse::new(net, &attackers, &all), deps, policies)
+}
+
+/// Evaluate `$body` with `$eval` bound to the figure's per-pair kernel
+/// over [`figure_inputs`]' deployments and policies: the one place both
+/// the in-process path and the worker construct it.
+macro_rules! with_figure_eval {
+    ($figure:expr, $net:expr, $deps:expr, $policies:expr, |$eval:ident| $body:expr) => {
+        match $figure {
+            Figure::Baseline | Figure::Rollout => {
+                let $eval =
+                    stats::SweepCellsEval::new($net, $deps, $policies, AttackStrategy::FakeLink);
+                $body
+            }
+            Figure::Ladder => {
+                let $eval = stats::LadderCellsEval::new(
+                    $net,
+                    &$deps[0],
+                    $policies,
+                    &AttackStrategy::LADDER,
+                );
+                $body
+            }
+        }
+    };
 }
 
 /// Render one cell's JSON object (two-space indent under `cells`).
@@ -611,70 +658,24 @@ fn run_figure_group(
         }
         e
     };
-    // One policy cell per missing model; the fused estimators dedup them
+    // One policy cell per missing model; the fused kernels dedup them
     // through `AttackStrategy::canonical()` and the zero-validator model
     // collapse, and reproduce each model's solo estimator bit for bit.
-    let policies: Vec<Policy> = missing.iter().map(|&m| Policy::new(m)).collect();
-    let all: Vec<AsId> = net.graph.ases().collect();
-    let non_stubs = net.tiers.non_stubs();
     let t0 = Instant::now();
+    let (universe, deps, policies) = figure_inputs(figure, net, &missing, args.rollout_steps);
     let runs: Vec<AdaptiveRun> = if let Some(sup) = sup {
         // Distributed path: the workers rebuild this exact graph and
-        // evaluator from the group spec, stream raw Welford triples
-        // back, and the coordinator merges them in group order — the
-        // same merge sequence as the in-process pool, so the estimates
-        // are bit-identical to `--workers 0`.
+        // kernel from the group spec, stream raw Welford triples back,
+        // and the coordinator merges them in group order — the same
+        // merge sequence as the in-process pool, so the estimates are
+        // bit-identical to `--workers 0`.
         let spec = group_spec_json(figure, net.len(), seed, &missing, graph, args);
-        let universe = match figure {
-            Figure::Baseline => PairUniverse::new(net, &all, &all),
-            Figure::Rollout | Figure::Ladder => PairUniverse::new(net, &non_stubs, &all),
-        };
         let cell_stats = vec![expected_steps(figure, args); missing.len()];
         supervise::estimate_adaptive_supervised(&universe, &est, &cell_stats, &spec, sup)
     } else {
-        match figure {
-            Figure::Baseline => stats::estimate_metric_sweep_cells(
-                net,
-                &all,
-                &all,
-                &[Deployment::empty(net.len())],
-                &policies,
-                AttackStrategy::FakeLink,
-                &est,
-                args.threads,
-            ),
-            Figure::Rollout => {
-                let mut deps = vec![Deployment::empty(net.len())];
-                deps.extend(sweep_rollout_steps(net, args.rollout_steps));
-                debug_assert_eq!(deps.len(), expected_steps(figure, args));
-                stats::estimate_metric_sweep_cells(
-                    net,
-                    &non_stubs,
-                    &all,
-                    &deps,
-                    &policies,
-                    AttackStrategy::FakeLink,
-                    &est,
-                    args.threads,
-                )
-            }
-            Figure::Ladder => stats::estimate_strategy_ladder_cells(
-                net,
-                &non_stubs,
-                &all,
-                &Deployment::empty(net.len()),
-                &policies,
-                &AttackStrategy::LADDER,
-                &est,
-                args.threads,
-            )
-            .into_iter()
-            .map(|l| {
-                debug_assert_eq!(l.rungs.len() + 1, expected_steps(figure, args));
-                l.run
-            })
-            .collect(),
-        }
+        with_figure_eval!(figure, net, &deps, &policies, |eval| {
+            stats::estimate_adaptive_cells_eval(&universe, &est, &eval, args.threads)
+        })
     };
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let share_ms = wall_ms / missing.len().max(1) as f64;
@@ -1275,36 +1276,10 @@ fn worker_main(args: &Args) -> ! {
             },
             None => Internet::synthetic(spec.asns, spec.seed),
         };
-        let policies: Vec<Policy> = spec.models.iter().map(|&m| Policy::new(m)).collect();
-        let all: Vec<AsId> = net.graph.ases().collect();
-        let non_stubs = net.tiers.non_stubs();
-        // Same pools, deployments and evaluators as the in-process path
-        // of `run_figure_group` — that is what makes the streamed
-        // accumulators merge to bit-identical estimates.
-        next_init = match spec.figure {
-            Figure::Baseline => {
-                let universe = PairUniverse::new(&net, &all, &all);
-                let deps = vec![Deployment::empty(net.len())];
-                let eval =
-                    stats::SweepCellsEval::new(&net, &deps, &policies, AttackStrategy::FakeLink);
-                serve_tasks(&eval, universe.strata().len(), &mut stdin, &mut stdout)
-            }
-            Figure::Rollout => {
-                let universe = PairUniverse::new(&net, &non_stubs, &all);
-                let mut deps = vec![Deployment::empty(net.len())];
-                deps.extend(sweep_rollout_steps(&net, spec.steps));
-                let eval =
-                    stats::SweepCellsEval::new(&net, &deps, &policies, AttackStrategy::FakeLink);
-                serve_tasks(&eval, universe.strata().len(), &mut stdin, &mut stdout)
-            }
-            Figure::Ladder => {
-                let universe = PairUniverse::new(&net, &non_stubs, &all);
-                let dep = Deployment::empty(net.len());
-                let eval =
-                    stats::LadderCellsEval::new(&net, &dep, &policies, &AttackStrategy::LADDER);
-                serve_tasks(&eval, universe.strata().len(), &mut stdin, &mut stdout)
-            }
-        };
+        let (universe, deps, policies) = figure_inputs(spec.figure, &net, &spec.models, spec.steps);
+        next_init = with_figure_eval!(spec.figure, &net, &deps, &policies, |eval| {
+            serve_tasks(&eval, universe.strata().len(), &mut stdin, &mut stdout)
+        });
         if next_init.is_none() {
             std::process::exit(0);
         }

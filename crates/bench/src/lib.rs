@@ -39,11 +39,6 @@ use sbgp_sim::experiments::ExperimentConfig;
 use sbgp_sim::json::Json;
 use sbgp_sim::{Internet, Parallelism};
 
-/// The sweep-benchmark / campaign rollout workload — re-exported from
-/// [`sbgp_sim::scenario`], where it moved so supervised campaign worker
-/// processes can rebuild the coordinator's exact deployments.
-pub use sbgp_sim::scenario::sweep_rollout_steps;
-
 /// Parsed command-line options for the figure binaries.
 #[derive(Clone, Debug)]
 pub struct Cli {
@@ -293,6 +288,25 @@ pub fn require_tag(obj: &Json, key: &str, want: &str) -> Result<(), String> {
 pub fn require_numbers(obj: &Json, keys: &[&str]) -> Result<(), String> {
     for key in keys {
         obj.req(key, "a number", Json::as_f64)?;
+    }
+    Ok(())
+}
+
+/// Reject a bench file whose acceptance gate applies (`gate.asns` at or
+/// above `min_asns`, or `"enforced": true`) while its measured `key`
+/// ratio is below `threshold`.
+pub fn require_gate(doc: &Json, key: &str, min_asns: f64, threshold: f64) -> Result<(), String> {
+    let gate = doc.req("gate", "an object", |g| g.as_object().map(|_| g))?;
+    let asns = gate.req("asns", "a number", Json::as_f64)?;
+    let enforced = gate.opt("enforced", "a boolean", |v| match v {
+        Json::Bool(b) => Some(*b),
+        _ => None,
+    })?;
+    let measured = gate.req(key, "a number", Json::as_f64)?;
+    if (enforced == Some(true) || asns >= min_asns) && measured < threshold {
+        return Err(format!(
+            "gate at {asns} ASes: {key} {measured} is below {threshold}"
+        ));
     }
     Ok(())
 }

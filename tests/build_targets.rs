@@ -8,14 +8,37 @@
 //! binary end-to-end on a tiny topology to guard the full
 //! generator → sampler → engine → renderer pipeline.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::Command;
+
+use sbgp_sim::json::Json;
 
 fn cargo() -> Command {
     let mut cmd = Command::new(env!("CARGO"));
     cmd.current_dir(Path::new(env!("CARGO_MANIFEST_DIR")));
     cmd.arg("--offline");
     cmd
+}
+
+/// Run `sbgp_bench`'s `bin` with `args`, asserting a zero exit; returns stdout.
+fn run_bench_bin(bin: &str, args: &[&str]) -> String {
+    let out = cargo()
+        .args(["run", "-q", "-p", "sbgp_bench", "--bin", bin, "--"])
+        .args(args)
+        .output()
+        .expect("failed to spawn cargo run");
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(
+        out.status.success(),
+        "{bin} {args:?} exited nonzero:\nstdout:\n{stdout}\nstderr:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    stdout
+}
+
+/// A temporary output path for a bench bin, unique to this test process.
+fn temp_json(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("{name}_{}.json", std::process::id()))
 }
 
 /// Every bin, example, and bench target in the workspace must compile.
@@ -275,4 +298,56 @@ fn figure03_reports_missing_snapshots_cleanly() {
         !stderr.contains("panicked"),
         "missing snapshot caused a panic:\n{stderr}"
     );
+}
+
+/// The churn bench end to end on a tiny topology: both halves of the
+/// trajectory are timed per model, and the emitted file passes
+/// `--validate`.
+#[test]
+fn bench_churn_emits_wax_and_wane_timings_that_validate() {
+    let out = temp_json("bench_churn_smoke");
+    let path = out.to_str().unwrap();
+    run_bench_bin(
+        "bench_churn",
+        &[
+            "--asns", "300", "--seed", "11", "--peak", "3", "--out", path,
+        ],
+    );
+    let doc = Json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
+    assert!(doc.get("growth_speedup").and_then(Json::as_f64).is_some());
+    let models = doc.get("models").and_then(Json::as_array).unwrap();
+    assert_eq!(models.len(), 3);
+    for m in models {
+        for key in [
+            "wax_scratch_ms",
+            "wax_sweep_ms",
+            "growth_speedup",
+            "wane_scratch_ms",
+            "wane_sweep_ms",
+            "retraction_speedup",
+        ] {
+            assert!(
+                m.get(key).and_then(Json::as_f64).is_some(),
+                "{key} missing: {m}"
+            );
+        }
+    }
+    let stdout = run_bench_bin("bench_churn", &["--validate", path]);
+    assert!(stdout.contains("schema ok"), "{stdout}");
+    let _ = std::fs::remove_file(&out);
+}
+
+/// The ingest bench end to end on a tiny topology, then `--validate` on
+/// the file it wrote.
+#[test]
+fn bench_ingest_emits_a_file_that_validates() {
+    let out = temp_json("bench_ingest_smoke");
+    let path = out.to_str().unwrap();
+    run_bench_bin(
+        "bench_ingest",
+        &["--asns", "1000", "--seed", "11", "--out", path],
+    );
+    let stdout = run_bench_bin("bench_ingest", &["--validate", path]);
+    assert!(stdout.contains("schema ok"), "{stdout}");
+    let _ = std::fs::remove_file(&out);
 }
